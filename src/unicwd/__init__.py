@@ -85,7 +85,7 @@ from .catalog import (
 from .synth import (
     NotCographError,
     NotUnigraphError,
-    SplitExpr,
+    SynthesisError,
     SynthesisReport,
     glue_split,
     glue_tail,

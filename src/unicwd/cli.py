@@ -4,7 +4,8 @@ Commands: recognize, decompose, synthesize, eval, check, solve, gen,
 oracle {cwd,unigraph,decomps}. Graphs travel as edge-list files,
 expressions as .kx files; '-' means stdin. Exit codes: 0 success (and
 "yes" verdicts), 1 negative verdict, 2 malformed input or usage error,
-3 size-guard violation.
+3 size-guard violation, 4 internal error (a synthesized expression failed
+its verification).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .solve import (
     solve_mis,
     solve_vc,
 )
-from .synth import NotUnigraphError, SynthesisReport, synthesize
+from .synth import NotUnigraphError, SynthesisError, SynthesisReport, synthesize
 
 __all__ = ["main"]
 
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
@@ -395,6 +397,9 @@ def main(argv: list[str] | None = None) -> int:
     except NotUnigraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO
+    except SynthesisError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -415,6 +415,7 @@ def read_edge_list(text: str) -> Graph:
     header: tuple[int, int] | None = None
     declared: set[str] = set()
     edges: list[tuple[str, str]] = []
+    seen: set[Edge] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -440,8 +441,10 @@ def read_edge_list(text: str) -> Graph:
         u, v = tokens
         if u == v:
             raise GraphFormatError(lineno, f"self-loop at vertex {u!r}")
-        if _edge(u, v) in {(min(a, b), max(a, b)) for a, b in edges}:
+        key = _edge(u, v)
+        if key in seen:
             raise GraphFormatError(lineno, f"duplicate edge {u} {v}")
+        seen.add(key)
         edges.append((u, v))
     if header is None:
         raise GraphFormatError(1, "missing header 'n m'")

@@ -1,20 +1,25 @@
 """Constructive synthesis of bounded-width expressions for unigraphs.
 
-Each catalog family has an explicit construction: cographs (matchings, U2
-shapes and their complements) need two labels; C5 and the hub family U3
-need three; the split families are built star by star, keeping the clique
-part labeled 1 and the independent part labeled 2 throughout, within
-3/3/4/4 labels for S2, the same for S3, and 4/4/5/5 for S4 across the four
-variants. Composition is imitated by a fixed gluing pattern that borrows
-labels 3 and 4, so the whole pipeline never exceeds five labels.
+Each catalog family has an explicit construction read off its matched
+correspondence: matchings, U2 shapes and their complements need two labels;
+C5 and the hub family U3 need three; the split families are built star by
+star, keeping the clique part labeled 1 and the independent part labeled 2
+throughout, within 3/3/4/4 labels for S2, the same for S3, and 4/4/5/5 for
+S4 across the four variants. Every gluing step, composition included, is
+one combinator (``_glue``) that borrows two fresh labels for the joins and
+folds them back, so the whole pipeline never exceeds five labels.
 
 Synthesis reuses the input graph's vertex names (via the matched
-correspondences), so the final verification is exact edge-set equality.
+correspondences), so verification is exact edge-set equality. It happens
+once, at the boundary: ``synthesize`` evaluates the finished expression,
+and checks the pieces one by one only to name the broken one when that
+fails (or on request, with ``check_steps``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .catalog import (
     C5Spec,
@@ -30,7 +35,6 @@ from .catalog import (
     build_template,
     _recognize,
 )
-from .decomp import compose_splitted
 from .graph import (
     Graph,
     SplittedGraph,
@@ -41,24 +45,14 @@ from .graph import (
     rename,
     rename_splitted,
 )
-from .kexpr import (
-    Intro,
-    Join,
-    KExpr,
-    Relabel,
-    Union,
-    evaluate,
-    is_split_labeled,
-    vertex_names,
-    width,
-)
+from .kexpr import Intro, Join, KExpr, Relabel, Union, evaluate, width
 
 __all__ = [
     "NotCographError",
     "NotUnigraphError",
     "SPLIT_WIDTH_BOUNDS",
     "NONSPLIT_WIDTH_BOUNDS",
-    "SplitExpr",
+    "SynthesisError",
     "SynthesisReport",
     "ComponentReport",
     "glue_split",
@@ -83,12 +77,22 @@ class NotUnigraphError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class SplitExpr:
-    """An expression whose evaluation is split labeled for ``target``."""
+class SynthesisError(RuntimeError):
+    """A synthesized expression failed verification: a defect, not bad input.
 
-    expr: KExpr
-    target: SplittedGraph
+    ``component`` is the 1-based gluing-order index of the broken piece (the
+    tail counts last), or None when no single piece is to blame.
+    """
+
+    def __init__(
+        self, reason: str, component: int | None = None, match: ComponentMatch | None = None
+    ) -> None:
+        where = "synthesized expression"
+        if match is not None:
+            index = "" if component is None else f" {component}"
+            where = f"component{index} ({match.spec.family}/{match.variant})"
+        super().__init__(f"{where}: {reason}")
+        self.component = component
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,47 @@ NONSPLIT_WIDTH_BOUNDS = {
 
 
 # ---------------------------------------------------------------------------
+# the gluing combinator
+
+
+def _glue(outer: KExpr, inner: KExpr, joins, free: int = 3) -> KExpr:
+    """Disjoint union of two pieces plus the edges ``joins`` between them.
+
+    ``joins`` holds (outer label, inner label) pairs. The inner labels that
+    take part in a join move to the fresh labels ``free`` and ``free + 1``
+    (an Intro takes its new label directly), the joins run in sorted order
+    and the moved labels fold back, so both pieces keep their labeling.
+    """
+    moved = {lab: free + k for k, lab in enumerate(sorted({b for _, b in joins}))}
+    if isinstance(inner, Intro):
+        inner = Intro(inner.name, moved.get(inner.label, inner.label))
+    else:
+        for old, new in moved.items():
+            if old != new:
+                inner = Relabel(old, new, inner)
+    expr: KExpr = Union(outer, inner)
+    for a, b in sorted((a, moved[b]) for a, b in joins):
+        expr = Join(a, b, expr)
+    for old, new in moved.items():
+        if old != new:
+            expr = Relabel(new, old, expr)
+    return expr
+
+
+def _join_all(parts: list[KExpr]) -> KExpr:
+    """All-1 join of all-1 pieces, within max(2, their widths) labels."""
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = _glue(acc, part, {(1, 1)}, free=2)
+    return acc
+
+
+def _clique_expr(names: list[str]) -> KExpr:
+    """All-1 width-<=2 expression of a complete graph on ``names``."""
+    return _join_all([Intro(v, 1) for v in names])
+
+
+# ---------------------------------------------------------------------------
 # cographs (two labels, all labels 1 afterwards)
 
 
@@ -147,21 +192,9 @@ def synth_cograph(g: Graph) -> KExpr:
         cocomps = connected_components(complement(h))
         if len(cocomps) == 1:
             raise NotCographError(find_induced_p4(h) if h.n <= 60 else None)
-        parts = [rec(induced(h, c)) for c in sorted(cocomps, key=sorted)]
-        acc = parts[0]
-        for part in parts[1:]:
-            acc = Relabel(2, 1, Join(1, 2, Union(acc, Relabel(1, 2, part))))
-        return acc
+        return _join_all([rec(induced(h, c)) for c in sorted(cocomps, key=sorted)])
 
     return rec(g)
-
-
-def _clique_expr(names: list[str]) -> KExpr:
-    """All-1 width-<=2 expression of a complete graph on ``names``."""
-    acc: KExpr = Intro(names[0], 1)
-    for v in names[1:]:
-        acc = Relabel(2, 1, Join(1, 2, Union(acc, Intro(v, 2))))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -185,238 +218,92 @@ def _star_split_expr(center: str, leaves: list[str], variant: str) -> KExpr:
     return Union(Intro(center, 1), *(Intro(l, 2) for l in leaves))
 
 
-def _stars_variant_triple(stars: list[tuple[str, list[str]]], variant: str) -> SplittedGraph:
-    """The splitted graph an S2-style star list denotes under a variant."""
-    centers = [c for c, _ in stars]
-    leaves = [l for _, ls in stars for l in ls]
-    edges = [(c, l) for c, ls in stars for l in ls]
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            edges.append((centers[i], centers[j]))
-    base = SplittedGraph(Graph(centers + leaves, edges), frozenset(centers), frozenset(leaves))
-    return apply_variant(base, variant)
+# Per variant: the joins from the stars glued so far to the next star block
+# (as in composition, outer label first), the label v ends on and the labels
+# it joins, and the labels u joins, 3 standing for v (u ends on the other
+# side from v).
+_VARIANT_JOINS = {
+    "identity": ({(1, 1)}, 2, (1,), (1, 2)),
+    "inverse": ({(1, 1)}, 1, (1, 2), (1,)),
+    "complement": ({(1, 1), (1, 2), (2, 1)}, 1, (1,), (3,)),
+    "inverse_complement": ({(1, 1), (1, 2), (2, 1)}, 2, (), (1, 3)),
+}
 
 
-def _s2_expr(stars: list[tuple[str, list[str]]], variant: str, check_steps: bool) -> KExpr:
+def _s2_expr(stars: list[tuple[str, list[str]]], variant: str) -> KExpr:
     """Star-by-star induction over a non-increasing star list."""
     stars = sorted(stars, key=lambda s: (-len(s[1]), s[0]))
+    joins = _VARIANT_JOINS[variant][0]
     acc = _star_split_expr(stars[0][0], stars[0][1], variant)
-    for idx, (center, leaves) in enumerate(stars[1:], start=2):
-        piece = _star_split_expr(center, leaves, variant)
-        if variant in ("identity", "inverse"):
-            acc = Relabel(3, 1, Join(1, 3, Union(acc, Relabel(1, 3, piece))))
-        else:
-            acc = Relabel(
-                4,
-                2,
-                Relabel(
-                    3,
-                    1,
-                    Join(
-                        2,
-                        3,
-                        Join(1, 4, Join(1, 3, Union(acc, Relabel(2, 4, Relabel(1, 3, piece))))),
-                    ),
-                ),
-            )
-        if check_steps:
-            target = _stars_variant_triple(stars[:idx], variant)
-            if not is_split_labeled(acc, target):
-                raise AssertionError("split labeling broken during star induction")
+    for center, leaves in stars[1:]:
+        acc = _glue(acc, _star_split_expr(center, leaves, variant), joins)
     return acc
 
 
-def _s3_expr(
-    small: list[tuple[str, list[str]]],
-    big: list[tuple[str, list[str]]],
-    v: str,
-    variant: str,
-    check_steps: bool,
-) -> KExpr:
-    """Wrap the two star groups and attach v per the family construction.
+def _s3_expr(small, big, v: str, variant: str) -> KExpr:
+    """The small stars with v attached, then the big stars glued on.
 
     ``small`` holds the q1 stars of size p (the ones v is attached to in
     the identity orientation), ``big`` the q2 stars of size p+1.
     """
-    left = _s2_expr(small, variant, check_steps)
-    right = _s2_expr(big, variant, check_steps)
-    if variant == "identity":
-        inner = Relabel(3, 2, Join(1, 3, Union(left, Intro(v, 3))))
-        return Relabel(3, 1, Join(1, 3, Union(inner, Relabel(1, 3, right))))
-    if variant == "inverse":
-        inner = Relabel(3, 1, Join(2, 3, Join(1, 3, Union(left, Intro(v, 3)))))
-        return Relabel(3, 1, Join(1, 3, Union(inner, Relabel(1, 3, right))))
-    if variant == "complement":
-        inner = Relabel(3, 1, Join(1, 3, Union(left, Intro(v, 3))))
-        return Relabel(
-            4,
-            2,
-            Relabel(
-                3,
-                1,
-                Join(2, 3, Join(1, 4, Join(1, 3, Union(inner, Relabel(2, 4, Relabel(1, 3, right)))))),
-            ),
-        )
-    inner = Union(left, Intro(v, 2))
-    return Relabel(
-        4,
-        2,
-        Relabel(
-            3,
-            1,
-            Join(2, 3, Join(1, 4, Join(1, 3, Union(inner, Relabel(2, 4, Relabel(1, 3, right)))))),
-        ),
-    )
+    joins, v_label, v_joins, _ = _VARIANT_JOINS[variant]
+    left = _glue(_s2_expr(small, variant), Intro(v, v_label), {(a, v_label) for a in v_joins})
+    return _glue(left, _s2_expr(big, variant), joins)
 
 
-def _s4_expr(
-    small: list[tuple[str, list[str]]],
-    big: list[tuple[str, list[str]]],
-    v: str,
-    u: str,
-    variant: str,
-    check_steps: bool,
-) -> KExpr:
-    """S3 inner block with v kept on label 3, then the u stage on label 4.
+def _s4_expr(small, big, v: str, u: str, variant: str) -> KExpr:
+    """The S3 construction with v kept on label 3, then u on label 4.
 
-    For the complement variants the inner block borrows label 5 for the
-    second star group, which is where the family's width of five comes
-    from.
+    v's label 3 joins the big stars wherever v's own class does. For the
+    complement variants the big stars borrow labels 4 and 5, which is where
+    the family's width of five comes from.
     """
-    left = _s2_expr(small, variant, check_steps)
-    right = _s2_expr(big, variant, check_steps)
-    if variant == "identity":
-        x = Relabel(
-            4,
-            1,
-            Join(1, 4, Union(Join(1, 3, Union(left, Intro(v, 3))), Relabel(1, 4, right))),
-        )
-        return Relabel(4, 1, Relabel(3, 2, Join(2, 4, Join(1, 4, Union(Intro(u, 4), x)))))
-    if variant == "inverse":
-        x = Relabel(
-            4,
-            1,
-            Join(
-                3,
-                4,
-                Join(
-                    1,
-                    4,
-                    Union(Join(2, 3, Join(1, 3, Union(left, Intro(v, 3)))), Relabel(1, 4, right)),
-                ),
-            ),
-        )
-        # u is adjacent to exactly the leaves here, so only the 1-4 join
-        # applies (joining u to v as well would add a foreign edge)
-        return Relabel(4, 2, Relabel(3, 1, Join(1, 4, Union(Intro(u, 4), x))))
-    if variant == "complement":
-        x = Relabel(
-            5,
-            2,
-            Relabel(
-                4,
-                1,
-                Join(
-                    3,
-                    5,
-                    Join(
-                        3,
-                        4,
-                        Join(
-                            2,
-                            4,
-                            Join(
-                                1,
-                                5,
-                                Join(
-                                    1,
-                                    4,
-                                    Union(
-                                        Join(1, 3, Union(left, Intro(v, 3))),
-                                        Relabel(2, 5, Relabel(1, 4, right)),
-                                    ),
-                                ),
-                            ),
-                        ),
-                    ),
-                ),
-            ),
-        )
-        return Relabel(4, 2, Relabel(3, 1, Join(3, 4, Union(Intro(u, 4), x))))
-    x = Relabel(
-        5,
-        2,
-        Relabel(
-            4,
-            1,
-            Join(
-                3,
-                4,
-                Join(
-                    2,
-                    4,
-                    Join(
-                        1,
-                        5,
-                        Join(
-                            1,
-                            4,
-                            Union(Union(left, Intro(v, 3)), Relabel(2, 5, Relabel(1, 4, right))),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-    return Relabel(4, 1, Relabel(3, 2, Join(3, 4, Join(1, 4, Union(Intro(u, 4), x)))))
+    joins, v_label, v_joins, u_joins = _VARIANT_JOINS[variant]
+    left = _glue(_s2_expr(small, variant), Intro(v, 3), {(a, 3) for a in v_joins})
+    joins = joins | {(3, b) for a, b in joins if a == v_label}
+    block = _glue(left, _s2_expr(big, variant), joins, free=4)
+    u_label = 3 - v_label
+    with_u = _glue(block, Intro(u, u_label), {(a, u_label) for a in u_joins}, free=4)
+    return Relabel(3, v_label, with_u)
 
 
-def _stars_from_correspondence(
-    spec_sizes: list[int], corr, offset: int = 0
-) -> list[tuple[str, list[str]]]:
-    stars = []
-    for i, p in enumerate(spec_sizes, start=offset + 1):
-        stars.append((corr[f"c{i}"], [corr[f"c{i}l{j}"] for j in range(1, p + 1)]))
-    return stars
+def _stars(sizes: list[int], corr, offset: int = 0) -> list[tuple[str, list[str]]]:
+    return [
+        (corr[f"c{i}"], [corr[f"c{i}l{j}"] for j in range(1, p + 1)])
+        for i, p in enumerate(sizes, start=offset + 1)
+    ]
 
 
-def synth_split(match: ComponentMatch, check_steps: bool = False) -> SplitExpr:
-    """Split-labeled expression for a matched split component."""
+def synth_split(match: ComponentMatch, check_steps: bool = False) -> KExpr:
+    """Split-labeled expression for a matched split component.
+
+    With ``check_steps`` the piece is checked against its template and its
+    width bound, raising SynthesisError when either fails.
+    """
     spec, variant, corr = match.spec, match.variant, match.correspondence
-    template = build_template(spec)
-    target = rename_splitted(apply_variant(template, variant), corr)
-
     if isinstance(spec, K1Spec):
-        name = corr["a"]
-        label = 1 if name in target.clique_part else 2
-        expr: KExpr = Intro(name, label)
+        # inverse and complement swap the two sides, their composition does not
+        independent = (spec.side == "clique") == (variant in ("inverse", "complement"))
+        expr: KExpr = Intro(corr["a"], 2 if independent else 1)
     elif isinstance(spec, S2Spec):
-        stars = _stars_from_correspondence(spec.star_sizes(), corr)
-        expr = _s2_expr(stars, variant, check_steps)
+        expr = _s2_expr(_stars(spec.star_sizes(), corr), variant)
     elif isinstance(spec, S3Spec):
-        big = _stars_from_correspondence([spec.p + 1] * spec.q2, corr)
-        small = _stars_from_correspondence([spec.p] * spec.q1, corr, offset=spec.q2)
-        expr = _s3_expr(small, big, corr["v"], variant, check_steps)
+        big = _stars([spec.p + 1] * spec.q2, corr)
+        small = _stars([spec.p] * spec.q1, corr, offset=spec.q2)
+        expr = _s3_expr(small, big, corr["v"], variant)
     elif isinstance(spec, S4Spec):
-        big = _stars_from_correspondence([spec.p + 1] * spec.q, corr)
-        small = _stars_from_correspondence([spec.p] * 2, corr, offset=spec.q)
-        expr = _s4_expr(small, big, corr["v"], corr["u"], variant, check_steps)
+        big = _stars([spec.p + 1] * spec.q, corr)
+        small = _stars([spec.p] * 2, corr, offset=spec.q)
+        expr = _s4_expr(small, big, corr["v"], corr["u"], variant)
     else:
         raise ValueError(f"{spec.family} is not a split catalog family")
-
-    if not is_split_labeled(expr, target):
-        raise AssertionError(f"synthesized {spec.family}/{variant} expression is not split labeled")
-    if width(expr) > SPLIT_WIDTH_BOUNDS[spec.family][variant]:
-        raise AssertionError(f"{spec.family}/{variant} expression exceeds its width bound")
-    return SplitExpr(expr, target)
+    if check_steps:
+        _check_piece(expr, match)
+    return expr
 
 
 # ---------------------------------------------------------------------------
 # nonsplit families
-
-
-def _k2_expr(a: str, b: str) -> KExpr:
-    return Relabel(2, 1, Join(1, 2, Union(Intro(a, 1), Intro(b, 2))))
 
 
 def _c5_expr(order: list[str]) -> KExpr:
@@ -427,17 +314,8 @@ def _c5_expr(order: list[str]) -> KExpr:
     return Relabel(3, 1, Relabel(2, 1, Join(2, 3, Union(path, Intro(x5, 3)))))
 
 
-def _cycle_order(g: Graph) -> list[str]:
-    start = g.vertices[0]
-    order = [start, min(g.neighbors(start))]
-    while len(order) < g.n:
-        nxt = [w for w in g.neighbors(order[-1]) if w != order[-2]]
-        order.append(nxt[0])
-    return order
-
-
 def _u3_expr(corr, m: int) -> KExpr:
-    pair_exprs = [_k2_expr(corr[f"a{i}"], corr[f"b{i}"]) for i in range(1, m + 1)]
+    pair_exprs = [_clique_expr([corr[f"a{i}"], corr[f"b{i}"]]) for i in range(1, m + 1)]
     mk2: KExpr = pair_exprs[0] if m == 1 else Union(tuple(pair_exprs))
     star = Join(
         1, 2, Union(Intro(corr["w2"], 1), Intro(corr["w1"], 2), Intro(corr["w3"], 2))
@@ -447,86 +325,103 @@ def _u3_expr(corr, m: int) -> KExpr:
     )
 
 
-def _u3_complement_expr(g: Graph, corr, m: int) -> KExpr:
-    pair_names = [corr[f"{x}{i}"] for i in range(1, m + 1) for x in "ab"]
-    compl_mk2 = synth_cograph(induced(g, pair_names))
+def _co_matching(corr, m: int) -> KExpr:
+    """All-1 expression of the complement of the matching a_i b_i."""
+    return _join_all(
+        [Union(Intro(corr[f"a{i}"], 1), Intro(corr[f"b{i}"], 1)) for i in range(1, m + 1)]
+    )
+
+
+def _u3_complement_expr(corr, m: int) -> KExpr:
     k2k1 = Union(
         Relabel(2, 1, Join(1, 2, Union(Intro(corr["w1"], 1), Intro(corr["w3"], 2)))),
         Intro(corr["w2"], 2),
     )
     inner = Relabel(1, 2, Join(2, 3, Union(Intro(corr["h"], 3), k2k1)))
-    return Relabel(3, 1, Relabel(2, 1, Join(1, 2, Union(compl_mk2, inner))))
+    return Relabel(3, 1, Relabel(2, 1, Join(1, 2, Union(_co_matching(corr, m), inner))))
+
+
+def _matching_tail_expr(spec: MK2Spec | U2Spec, variant: str, corr) -> KExpr:
+    """MK2 and U2 (a matching, plus a star for U2) or their complements.
+
+    A complement is the join of the parts' complements: the co-matching,
+    and an isolated center next to a clique of leaves.
+    """
+    leaves = [corr[f"s{j}"] for j in range(1, spec.s + 1)] if isinstance(spec, U2Spec) else []
+    if variant == "complement":
+        parts = [_co_matching(corr, spec.m)]
+        if leaves:
+            parts.append(Union(Intro(corr["c"], 1), _clique_expr(leaves)))
+        return _join_all(parts)
+    parts = [_clique_expr([corr[f"a{i}"], corr[f"b{i}"]]) for i in range(1, spec.m + 1)]
+    if leaves:
+        parts.append(Relabel(2, 1, _star_split_expr(corr["c"], leaves, "identity")))
+    return Union(tuple(parts))
 
 
 def synth_nonsplit(match: ComponentMatch) -> KExpr:
     """Expression for a matched nonsplit core, all labels 1 at the end."""
     spec, variant, corr = match.spec, match.variant, match.correspondence
     if isinstance(spec, K1Spec):
-        target = Graph([corr["a"]])
-        expr: KExpr = Intro(corr["a"], 1)
-    else:
-        template = build_template(spec)
-        target = rename(apply_variant(template, variant), corr)
-        if isinstance(spec, C5Spec):
-            expr = _c5_expr(_cycle_order(target))
-        elif isinstance(spec, (MK2Spec, U2Spec)):
-            expr = synth_cograph(target)  # these shapes and their complements are P4-free
-        elif isinstance(spec, U3Spec):
-            if variant == "identity":
-                expr = _u3_expr(corr, spec.m)
-            else:
-                expr = _u3_complement_expr(target, corr, spec.m)
-        else:
-            raise ValueError(f"{spec.family} is not a nonsplit catalog family")
-
-    result = evaluate(expr)
-    if result.graph != target or any(lab != 1 for lab in result.labels.values()):
-        raise AssertionError(f"synthesized {spec.family}/{variant} core expression is wrong")
-    bound = NONSPLIT_WIDTH_BOUNDS[spec.family]
-    if width(expr) > bound:
-        raise AssertionError(f"{spec.family} core expression exceeds width {bound}")
-    return expr
+        return Intro(corr["a"], 1)
+    if isinstance(spec, C5Spec):
+        # the complement of the cycle x1..x5 is the cycle x1 x3 x5 x2 x4
+        order = (1, 2, 3, 4, 5) if variant == "identity" else (1, 3, 5, 2, 4)
+        return _c5_expr([corr[f"x{i}"] for i in order])
+    if isinstance(spec, (MK2Spec, U2Spec)):
+        return _matching_tail_expr(spec, variant, corr)
+    if isinstance(spec, U3Spec):
+        build = _u3_expr if variant == "identity" else _u3_complement_expr
+        return build(corr, spec.m)
+    raise ValueError(f"{spec.family} is not a nonsplit catalog family")
 
 
 # ---------------------------------------------------------------------------
 # gluing
 
 
-def glue_split(outer: SplitExpr, inner: SplitExpr, check: bool = False) -> SplitExpr:
+def glue_split(outer: KExpr, inner: KExpr) -> KExpr:
     """Compose two split-labeled expressions into one.
 
-    The inner component's labels move to 3/4, the outer clique (label 1)
-    is joined to all of the inner piece, and the labels fold back to the
-    split labeling of the composed graph. Width <= max(4, both widths).
+    The outer clique (label 1) is joined to all of the inner piece, whose
+    labels borrow 3/4 meanwhile. Width <= max(4, both widths).
     """
-    clash = outer.target.graph.vertex_set & inner.target.graph.vertex_set
-    if clash:
-        raise ValueError(f"vertex name collision: {sorted(clash)[0]!r}")
-    expr = Relabel(
-        4,
-        2,
-        Relabel(
-            3,
-            1,
-            Join(1, 4, Join(1, 3, Union(outer.expr, Relabel(2, 4, Relabel(1, 3, inner.expr))))),
-        ),
-    )
-    target = compose_splitted(outer.target, inner.target)
-    if check and not is_split_labeled(expr, target):
-        raise AssertionError("gluing broke the split labeling")
-    return SplitExpr(expr, target)
+    return _glue(outer, inner, {(1, 1), (1, 2)})
 
 
-def glue_tail(s: SplitExpr, tail: KExpr) -> KExpr:
+def glue_tail(s: KExpr, tail: KExpr) -> KExpr:
     """Compose a split-labeled expression over an all-1 core expression."""
-    clash = s.target.graph.vertex_set & set(vertex_names(tail))
-    if clash:
-        raise ValueError(f"vertex name collision: {sorted(clash)[0]!r}")
-    return Relabel(3, 1, Relabel(2, 1, Join(1, 3, Union(s.expr, Relabel(1, 3, tail)))))
+    return Relabel(2, 1, _glue(s, tail, {(1, 1)}))
 
 
 # ---------------------------------------------------------------------------
 # the pipeline
+
+
+def _check_piece(
+    expr: KExpr, match: ComponentMatch, index: int | None = None, tail: bool = False
+) -> None:
+    """Raise SynthesisError unless ``expr`` labels its component exactly
+    (split labels, or all 1 for a tail) within the family's width bound."""
+    spec, variant, corr = match.spec, match.variant, match.correspondence
+    target = apply_variant(build_template(spec), variant)
+    if isinstance(target, SplittedGraph):
+        target = rename_splitted(target, corr)
+        graph, ones = target.graph, target.clique_part
+    else:
+        graph = rename(target, corr)
+        ones = graph.vertex_set
+    if tail:
+        ones, bound = graph.vertex_set, NONSPLIT_WIDTH_BOUNDS[spec.family]
+    else:
+        bound = SPLIT_WIDTH_BOUNDS[spec.family][variant]
+    result = evaluate(expr)
+    if result.graph != graph:
+        raise SynthesisError("expression does not evaluate to the component", index, match)
+    if any(lab != (1 if v in ones else 2) for v, lab in result.labels.items()):
+        raise SynthesisError("expression labels the component wrongly", index, match)
+    if width(expr) > bound:
+        raise SynthesisError(f"expression exceeds width {bound}", index, match)
 
 
 def synthesize(g: Graph, check_steps: bool = False) -> tuple[KExpr, SynthesisReport]:
@@ -534,36 +429,36 @@ def synthesize(g: Graph, check_steps: bool = False) -> tuple[KExpr, SynthesisRep
 
     Recognizes the graph, synthesizes every component, glues innermost
     outward and verifies the result by exact edge-set equality before
-    returning. Raises NotUnigraphError when recognition fails.
+    returning. Raises NotUnigraphError when recognition fails and
+    SynthesisError, naming the broken component, when verification fails;
+    ``check_steps`` checks every piece before gluing as well.
     """
-    decomposition, matches, tail_match, failure = _recognize(g)
+    if g.n == 0:
+        raise ValueError("cannot synthesize an expression for the empty graph")
+    _, matches, tail_match, failure = _recognize(g)
     if failure is not None:
         raise NotUnigraphError(failure)
-    assert matches is not None
-
-    reports: list[ComponentReport] = []
-    acc: SplitExpr | None = None
-    for m in matches:
-        piece = synth_split(m, check_steps)
-        reports.append(ComponentReport(m.spec.family, m.variant, width(piece.expr)))
-        acc = piece if acc is None else glue_split(acc, piece, check=check_steps)
-
+    pieces = [(synth_split(m), m, False) for m in matches]
     if tail_match is not None:
-        tail_expr = synth_nonsplit(tail_match)
-        reports.append(
-            ComponentReport(tail_match.spec.family, tail_match.variant, width(tail_expr), tail=True)
-        )
-        expr = tail_expr if acc is None else glue_tail(acc, tail_expr)
+        pieces.append((synth_nonsplit(tail_match), tail_match, True))
+
+    def check_pieces() -> None:
+        for index, (piece, m, tail) in enumerate(pieces, start=1):
+            _check_piece(piece, m, index, tail)
+
+    if check_steps:
+        check_pieces()
+    split = [piece for piece, _, tail in pieces if not tail]
+    acc = reduce(glue_split, split) if split else None
+    if tail_match is None:
+        expr = Relabel(2, 1, acc)
     else:
-        assert acc is not None
-        expr = Relabel(2, 1, acc.expr)
+        expr = pieces[-1][0] if acc is None else glue_tail(acc, pieces[-1][0])
 
     result = evaluate(expr)
-    if result.graph != g:
-        raise AssertionError("synthesized expression does not evaluate to the input graph")
-    if any(lab != 1 for lab in result.labels.values()):
-        raise AssertionError("synthesized expression leaves labels other than 1")
     total = width(expr)
-    if total > 5:
-        raise AssertionError(f"synthesized width {total} exceeds the bound 5")
+    if result.graph != g or any(lab != 1 for lab in result.labels.values()) or total > 5:
+        check_pieces()
+        raise SynthesisError(f"glued expression of width {total} is not the input all labeled 1")
+    reports = (ComponentReport(m.spec.family, m.variant, width(p), tail) for p, m, tail in pieces)
     return expr, SynthesisReport(total_width=total, components=tuple(reports))

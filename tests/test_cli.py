@@ -101,6 +101,29 @@ class TestSynthesizeEvalCheck:
         assert code == 1
         assert "not a unigraph" in err
 
+    def test_empty_graph_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "empty.el"
+        p.write_text("0 0\n")
+        code, out, err = run(capsys, "synthesize", str(p))
+        assert code == 2
+        assert err == "error: cannot synthesize an expression for the empty graph\n"
+        assert out == ""
+
+    def test_internal_error_exit_4(self, capsys, tmp_path, monkeypatch):
+        import unicwd.synth
+        from unicwd import Intro, Union
+
+        p = tmp_path / "c5.el"
+        p.write_text(to_edge_list(cycle_graph(*"abcde")))
+        monkeypatch.setattr(
+            unicwd.synth, "_c5_expr", lambda order: Union(tuple(Intro(v, 1) for v in order))
+        )
+        code, out, err = run(capsys, "synthesize", str(p))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: internal: component 1 (C5/identity)")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_synthesize_check_loop(self, capsys, tmp_path, u3_file):
         expr_path = str(tmp_path / "u3.kx")
         code, out, _ = run(capsys, "synthesize", u3_file, "-o", expr_path)

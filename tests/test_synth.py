@@ -13,6 +13,9 @@ from helpers import (
 from unicwd import (
     C5Spec,
     ComponentMatch,
+    DuplicateVertexError,
+    Graph,
+    Intro,
     K1Spec,
     MK2Spec,
     NotCographError,
@@ -21,8 +24,10 @@ from unicwd import (
     S3Spec,
     S4Spec,
     SplittedGraph,
+    SynthesisError,
     U2Spec,
     U3Spec,
+    Union,
     VARIANTS,
     apply_variant,
     build_template,
@@ -45,7 +50,7 @@ from unicwd import (
     synthesize,
     width,
 )
-from unicwd.synth import NONSPLIT_WIDTH_BOUNDS, SPLIT_WIDTH_BOUNDS, SplitExpr
+from unicwd.synth import NONSPLIT_WIDTH_BOUNDS, SPLIT_WIDTH_BOUNDS
 
 
 def check_all_ones(expr, graph):
@@ -151,16 +156,14 @@ class TestSplitFamilies:
         comp = rename_splitted(comp, {v: f"n_{v}" for v in comp.graph.vertices})
         m = match_split_component(comp)
         assert m is not None
-        se = synth_split(m, check_steps=True)
-        assert se.target == comp
-        assert is_split_labeled(se.expr, comp)
-        assert width(se.expr) <= SPLIT_WIDTH_BOUNDS[m.spec.family][m.variant]
+        expr = synth_split(m, check_steps=True)
+        assert is_split_labeled(expr, comp)
+        assert width(expr) <= SPLIT_WIDTH_BOUNDS[m.spec.family][m.variant]
 
     def test_k1_sides(self):
         for side, label in (("clique", 1), ("independent", 2)):
             m = ComponentMatch(K1Spec(side), "identity", {"a": "z"})
-            se = synth_split(m)
-            assert evaluate(se.expr).labels == {"z": label}
+            assert evaluate(synth_split(m)).labels == {"z": label}
 
     def test_widths_match_declared_bounds_exactly(self):
         # each family/variant pair attains its declared bound on this grid
@@ -172,8 +175,7 @@ class TestSplitFamilies:
             for variant in VARIANTS:
                 comp = apply_variant(build_template(spec), variant)
                 m = match_split_component(comp)
-                se = synth_split(m)
-                observed[(spec.family, variant)] = width(se.expr)
+                observed[(spec.family, variant)] = width(synth_split(m))
         assert observed == {
             ("S2", "identity"): 3,
             ("S2", "inverse"): 3,
@@ -190,44 +192,48 @@ class TestSplitFamilies:
         }
 
 
+def k1_clique(name):
+    return SplittedGraph(G([name]), frozenset({name}), frozenset())
+
+
 class TestGluing:
     def test_two_k1_cliques_give_k2(self):
         a = synth_split(ComponentMatch(K1Spec("clique"), "identity", {"a": "a"}))
         b = synth_split(ComponentMatch(K1Spec("clique"), "identity", {"a": "b"}))
-        glued = glue_split(a, b, check=True)
-        assert glued.target.graph == complete_graph("a", "b")
-        assert is_split_labeled(glued.expr, glued.target)
+        glued = glue_split(a, b)
+        k2 = SplittedGraph(complete_graph("a", "b"), frozenset("ab"), frozenset())
+        assert is_split_labeled(glued, k2)
 
     def test_k1_over_p4(self):
         outer = synth_split(ComponentMatch(K1Spec("clique"), "identity", {"a": "z"}))
         p4 = SplittedGraph(path_graph("a", "b", "c", "d"), {"b", "c"}, {"a", "d"})
         inner = synth_split(match_split_component(p4))
-        glued = glue_split(outer, inner, check=True)
-        assert glued.target == compose_splitted(outer.target, inner.target)
-        assert glued.target.graph.degree("z") == 4
+        glued = glue_split(outer, inner)
+        target = compose_splitted(k1_clique("z"), p4)
+        assert is_split_labeled(glued, target)
+        assert target.graph.degree("z") == 4
 
     def test_width_bookkeeping(self):
         s3 = build_template(S3Spec(1, 2, 1))
+        renamed = rename_splitted(s3, {v: f"y_{v}" for v in s3.graph.vertices})
         a = synth_split(match_split_component(s3))
-        b = synth_split(
-            match_split_component(
-                rename_splitted(s3, {v: f"y_{v}" for v in s3.graph.vertices})
-            )
-        )
-        glued = glue_split(a, b, check=True)
-        assert width(glued.expr) <= max(4, width(a.expr), width(b.expr))
+        b = synth_split(match_split_component(renamed))
+        glued = glue_split(a, b)
+        assert is_split_labeled(glued, compose_splitted(s3, renamed))
+        assert width(glued) <= max(4, width(a), width(b))
 
     def test_glue_collision(self):
+        # gluing checks nothing; the one evaluation at the end catches it
         a = synth_split(ComponentMatch(K1Spec("clique"), "identity", {"a": "a"}))
-        with pytest.raises(ValueError, match="collision"):
-            glue_split(a, a)
+        with pytest.raises(DuplicateVertexError, match="'a'"):
+            evaluate(glue_split(a, a))
 
     def test_tail_glue_dominating(self):
         s = synth_split(ComponentMatch(K1Spec("clique"), "identity", {"a": "z"}))
         c5 = cycle_graph("p", "q", "r", "s", "t")
         tail = synth_nonsplit(match_nonsplit_component(c5))
         e = glue_tail(s, tail)
-        check_all_ones(e, compose(s.target, c5))
+        check_all_ones(e, compose(k1_clique("z"), c5))
         assert width(e) <= 3
 
     def test_tail_glue_isolated(self):
@@ -264,6 +270,42 @@ class TestSynthesize:
             expr, report = synthesize(g, check_steps=(g.n <= 15))
             assert report.total_width <= 5
             check_all_ones(expr, g)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="empty graph"):
+            synthesize(Graph([]))
+
+    def test_verifies_once(self, monkeypatch):
+        import unicwd.kexpr
+        import unicwd.synth
+
+        for seed in range(1000):
+            g, witness = random_unigraph(seed, 40)
+            if len(witness.decomposition.components) >= 3 and witness.tail_match is not None:
+                break
+        else:
+            pytest.fail("no sample with three split components and a tail")
+        calls = []
+
+        def counting(e, _original=unicwd.kexpr.evaluate):
+            calls.append(e)
+            return _original(e)
+
+        monkeypatch.setattr(unicwd.kexpr, "evaluate", counting)
+        monkeypatch.setattr(unicwd.synth, "evaluate", counting)
+        expr, _ = synthesize(g, check_steps=False)
+        assert len(calls) == 1 and calls[0] is expr
+
+    def test_broken_piece_is_named(self, monkeypatch):
+        import unicwd.synth
+
+        g = compose(k1_clique("z"), cycle_graph(*"abcde"))
+        monkeypatch.setattr(
+            unicwd.synth, "_c5_expr", lambda order: Union(tuple(Intro(v, 1) for v in order))
+        )
+        with pytest.raises(SynthesisError, match=r"component 2 \(C5/identity\)") as exc:
+            synthesize(g)
+        assert exc.value.component == 2
 
     def test_report_shape(self):
         g = compose(
