@@ -9,20 +9,28 @@ component of a canonical decomposition must hit one of the split families
 under one of four variants (identity, inverse, complement, inverse of the
 complement); a nonsplit core must hit a nonsplit family under identity or
 complement. A graph is a unigraph exactly when all pieces match.
+
+Matching a split component builds no graph: each variant is read off the
+component's own adjacency (the parts swap for inverse and complement, the
+edges between the parts complement for complement and inverse of the
+complement). The complement variant of a nonsplit core is inferred on the
+complemented core. Every inference is confirmed by comparing the renamed
+template's edges with the piece's, without building the template graph.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Union as TUnion
 
 from .decomp import CanonicalDecomposition, decompose, recompose
 from .graph import (
     Graph,
     SplittedGraph,
+    _edge,
     complement,
-    induced,
     rename,
     rename_splitted,
     splitted_complement,
@@ -53,6 +61,10 @@ __all__ = [
 
 VARIANTS = ("identity", "inverse", "complement", "inverse_complement")
 _NONSPLIT_VARIANTS = ("identity", "complement")
+# what a variant does to a splitted graph: swap the two parts, and/or
+# complement the edges between them (inverse fills the old independent part)
+_SWAPS_PARTS = ("inverse", "complement")
+_FLIPS_CROSS = ("complement", "inverse_complement")
 
 
 @dataclass(frozen=True)
@@ -225,62 +237,64 @@ class RecognizedDecomposition:
 # templates
 
 
-def _star_template_parts(sizes: list[int]) -> tuple[list[str], dict[str, list[str]], list[tuple[str, str]]]:
+_Parts = tuple[list[str], list[str], list[tuple[str, str]]]
+
+
+def _s2_parts(sizes: list[int]) -> _Parts:
     centers = [f"c{i}" for i in range(1, len(sizes) + 1)]
-    leaves = {c: [f"{c}l{j}" for j in range(1, p + 1)] for c, p in zip(centers, sizes)}
-    edges = [(c, leaf) for c in centers for leaf in leaves[c]]
-    return centers, leaves, edges
+    cross = [(c, f"{c}l{j}") for c, p in zip(centers, sizes) for j in range(1, p + 1)]
+    return centers, [leaf for _, leaf in cross], cross
 
 
-def _s2_graph(sizes: list[int]) -> SplittedGraph:
-    centers, leaves, edges = _star_template_parts(sizes)
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            edges.append((centers[i], centers[j]))
-    all_leaves = [leaf for c in centers for leaf in leaves[c]]
-    return SplittedGraph(Graph(centers + all_leaves, edges), frozenset(centers), frozenset(all_leaves))
-
-
-def _s3_graph(p: int, q1: int, q2: int) -> SplittedGraph:
+def _s3_parts(p: int, q1: int, q2: int) -> _Parts:
     # star order matches S2: the larger (p+1)-stars come first
-    sizes = [p + 1] * q2 + [p] * q1
-    base = _s2_graph(sizes)
-    small_centers = [f"c{i}" for i in range(q2 + 1, q2 + q1 + 1)]
-    edges = list(base.graph.edges) + [("v", c) for c in small_centers]
-    g = Graph(base.graph.vertices + ("v",), edges)
-    return SplittedGraph(g, base.clique_part, base.independent_part | {"v"})
+    centers, leaves, cross = _s2_parts([p + 1] * q2 + [p] * q1)
+    cross += [("v", c) for c in centers[q2:]]
+    return centers, leaves + ["v"], cross
 
 
-def _s4_graph(p: int, q: int) -> SplittedGraph:
-    base = _s3_graph(p, 2, q)
-    edges = list(base.graph.edges)
-    for w in base.graph.vertices:
-        if w != "v":
-            edges.append(("u", w))
-    g = Graph(base.graph.vertices + ("u",), edges)
-    return SplittedGraph(g, base.clique_part | {"u"}, base.independent_part)
+def _s4_parts(p: int, q: int) -> _Parts:
+    centers, leaves, cross = _s3_parts(p, 2, q)
+    cross += [("u", b) for b in leaves if b != "v"]
+    return centers + ["u"], leaves, cross
 
 
-def _mk2_graph(m: int) -> Graph:
-    names = [x for i in range(1, m + 1) for x in (f"a{i}", f"b{i}")]
-    return Graph(names, [(f"a{i}", f"b{i}") for i in range(1, m + 1)])
+def _split_template(spec: FamilySpec) -> _Parts:
+    """Clique part, independent part and cross edges of a split family's template."""
+    if isinstance(spec, K1Spec):
+        return (["a"], [], []) if spec.side == "clique" else ([], ["a"], [])
+    if isinstance(spec, S2Spec):
+        return _s2_parts(spec.star_sizes())
+    if isinstance(spec, S3Spec):
+        return _s3_parts(spec.p, spec.q1, spec.q2)
+    return _s4_parts(spec.p, spec.q)
 
 
-def _u2_graph(m: int, s: int) -> Graph:
-    pairs = _mk2_graph(m)
-    star_leaves = [f"s{j}" for j in range(1, s + 1)]
-    edges = list(pairs.edges) + [("c", leaf) for leaf in star_leaves]
-    return Graph(pairs.vertices + ("c", *star_leaves), edges)
+def _mk2_edges(m: int) -> list[tuple[str, str]]:
+    return [(f"a{i}", f"b{i}") for i in range(1, m + 1)]
 
 
-def _u3_graph(m: int) -> Graph:
-    names = ["h", "w1", "w2", "w3"]
-    edges = [("h", "w1"), ("w1", "w2"), ("w2", "w3"), ("h", "w3")]
-    for i in range(1, m + 1):
-        a, b = f"a{i}", f"b{i}"
-        names += [a, b]
-        edges += [(a, b), ("h", a), ("h", b)]
-    return Graph(names, edges)
+def _nonsplit_template(spec: FamilySpec) -> tuple[list[str], list[tuple[str, str]]]:
+    """Vertex names and edges of a nonsplit family's template."""
+    if isinstance(spec, C5Spec):
+        names = [f"x{i}" for i in range(1, 6)]
+        return names, [(names[i], names[(i + 1) % 5]) for i in range(5)]
+    if isinstance(spec, MK2Spec):
+        edges = _mk2_edges(spec.m)
+        return [x for e in edges for x in e], edges
+    if isinstance(spec, U2Spec):
+        edges = _mk2_edges(spec.m)
+        star_leaves = [f"s{j}" for j in range(1, spec.s + 1)]
+        names = [x for e in edges for x in e] + ["c", *star_leaves]
+        return names, edges + [("c", leaf) for leaf in star_leaves]
+    if isinstance(spec, U3Spec):
+        names = ["h", "w1", "w2", "w3"]
+        edges = [("h", "w1"), ("w1", "w2"), ("w2", "w3"), ("h", "w3")]
+        for a, b in _mk2_edges(spec.m):
+            names += [a, b]
+            edges += [(a, b), ("h", a), ("h", b)]
+        return names, edges
+    raise TypeError(f"unknown family spec {spec!r}")
 
 
 def build_template(spec: FamilySpec) -> TUnion[Graph, SplittedGraph]:
@@ -289,27 +303,11 @@ def build_template(spec: FamilySpec) -> TUnion[Graph, SplittedGraph]:
     Split families return a SplittedGraph (centers / clique side in the
     clique part); nonsplit families return a plain Graph.
     """
-    if isinstance(spec, K1Spec):
-        if spec.side == "clique":
-            return SplittedGraph(Graph(["a"]), frozenset({"a"}), frozenset())
-        return SplittedGraph(Graph(["a"]), frozenset(), frozenset({"a"}))
-    if isinstance(spec, S2Spec):
-        return _s2_graph(spec.star_sizes())
-    if isinstance(spec, S3Spec):
-        return _s3_graph(spec.p, spec.q1, spec.q2)
-    if isinstance(spec, S4Spec):
-        return _s4_graph(spec.p, spec.q)
-    if isinstance(spec, C5Spec):
-        names = [f"x{i}" for i in range(1, 6)]
-        edges = [(names[i], names[(i + 1) % 5]) for i in range(5)]
-        return Graph(names, edges)
-    if isinstance(spec, MK2Spec):
-        return _mk2_graph(spec.m)
-    if isinstance(spec, U2Spec):
-        return _u2_graph(spec.m, spec.s)
-    if isinstance(spec, U3Spec):
-        return _u3_graph(spec.m)
-    raise TypeError(f"unknown family spec {spec!r}")
+    if isinstance(spec, (K1Spec, S2Spec, S3Spec, S4Spec)):
+        clique, indep, cross = _split_template(spec)
+        g = Graph(clique + indep, cross + list(combinations(clique, 2)))
+        return SplittedGraph(g, frozenset(clique), frozenset(indep))
+    return Graph(*_nonsplit_template(spec))
 
 
 def apply_variant(t: TUnion[Graph, SplittedGraph], variant: str):
@@ -335,19 +333,48 @@ def apply_variant(t: TUnion[Graph, SplittedGraph], variant: str):
 # split-component matching
 
 
-def _infer_k1(w: SplittedGraph) -> tuple[K1Spec, dict[str, str]] | None:
-    if w.n != 1:
+@dataclass(frozen=True)
+class _SplitView:
+    """A splitted component as one variant sees it, read off its own adjacency.
+
+    The parts are the variant's; with ``flip`` the cross neighbours of a
+    vertex are its non-neighbours in the other part.
+    """
+
+    graph: Graph
+    clique_part: frozenset[str]
+    independent_part: frozenset[str]
+    flip: bool
+
+    def cross(self, x: str) -> frozenset[str]:
+        other = self.independent_part if x in self.clique_part else self.clique_part
+        nb = self.graph.neighbors(x)
+        return other - nb if self.flip else other & nb
+
+    def without(self, x: str) -> "_SplitView":
+        return _SplitView(self.graph, self.clique_part - {x}, self.independent_part - {x}, self.flip)
+
+
+def _split_view(s: SplittedGraph, variant: str) -> _SplitView:
+    a, b = s.clique_part, s.independent_part
+    if variant in _SWAPS_PARTS:
+        a, b = b, a
+    return _SplitView(s.graph, a, b, variant in _FLIPS_CROSS)
+
+
+def _infer_k1(w: _SplitView) -> tuple[K1Spec, dict[str, str]] | None:
+    if len(w.clique_part) + len(w.independent_part) != 1:
         return None
-    v = w.vertices[0]
-    side = "clique" if v in w.clique_part else "independent"
-    return K1Spec(side), {"a": v}
+    if w.clique_part:
+        return K1Spec("clique"), {"a": next(iter(w.clique_part))}
+    return K1Spec("independent"), {"a": next(iter(w.independent_part))}
 
 
-def _star_structure(w: SplittedGraph) -> dict[str, list[str]] | None:
+def _star_structure(w: _SplitView) -> dict[str, list[str]] | None:
     """Leaves per center when every independent vertex has exactly one neighbor."""
     leaves_of: dict[str, list[str]] = {c: [] for c in w.clique_part}
     for b in sorted(w.independent_part):
-        nb = w.graph.neighbors(b)
+        nb = w.cross(b)
         if len(nb) != 1:
             return None
         leaves_of[next(iter(nb))].append(b)
@@ -372,7 +399,7 @@ def _star_correspondence(
     return corr
 
 
-def _infer_s2(w: SplittedGraph) -> tuple[S2Spec, dict[str, str]] | None:
+def _infer_s2(w: _SplitView) -> tuple[S2Spec, dict[str, str]] | None:
     if len(w.clique_part) < 2:
         return None
     leaves_of = _star_structure(w)
@@ -387,18 +414,15 @@ def _infer_s2(w: SplittedGraph) -> tuple[S2Spec, dict[str, str]] | None:
     return spec, _star_correspondence(centers, leaves_of)
 
 
-def _infer_s3(w: SplittedGraph) -> tuple[S3Spec, dict[str, str]] | None:
-    special = [b for b in w.independent_part if len(w.graph.neighbors(b)) >= 2]
+def _infer_s3(w: _SplitView) -> tuple[S3Spec, dict[str, str]] | None:
+    special = [b for b in w.independent_part if len(w.cross(b)) >= 2]
     if len(special) != 1:
         return None
     v = special[0]
-    rest = SplittedGraph(
-        induced(w.graph, w.graph.vertex_set - {v}), w.clique_part, w.independent_part - {v}
-    )
-    leaves_of = _star_structure(rest)
+    leaves_of = _star_structure(w.without(v))
     if leaves_of is None or any(not ls for ls in leaves_of.values()):
         return None
-    attached = sorted(w.graph.neighbors(v))
+    attached = sorted(w.cross(v))
     others = sorted(w.clique_part - set(attached))
     if not attached or not others:
         return None
@@ -418,19 +442,16 @@ def _infer_s3(w: SplittedGraph) -> tuple[S3Spec, dict[str, str]] | None:
     return spec, corr
 
 
-def _infer_s4(w: SplittedGraph) -> tuple[S4Spec, dict[str, str]] | None:
+def _infer_s4(w: _SplitView) -> tuple[S4Spec, dict[str, str]] | None:
     nb = len(w.independent_part)
-    hubs = [a for a in w.clique_part if len(w.graph.neighbors(a) & w.independent_part) == nb - 1]
+    hubs = [a for a in w.clique_part if len(w.cross(a)) == nb - 1]
     if len(hubs) != 1 or nb < 2:
         return None
     u = hubs[0]
-    missed = w.independent_part - w.graph.neighbors(u)
+    missed = w.independent_part - w.cross(u)
     if len(missed) != 1:
         return None
-    rest = SplittedGraph(
-        induced(w.graph, w.graph.vertex_set - {u}), w.clique_part - {u}, w.independent_part
-    )
-    inner = _infer_s3(rest)
+    inner = _infer_s3(w.without(u))
     if inner is None:
         return None
     s3spec, corr = inner
@@ -445,23 +466,49 @@ def _infer_s4(w: SplittedGraph) -> tuple[S4Spec, dict[str, str]] | None:
     return spec, corr
 
 
+def _confirms_split(s: SplittedGraph, spec: FamilySpec, variant: str, corr: Mapping[str, str]) -> bool:
+    """``rename_splitted(apply_variant(build_template(spec), variant), corr) == s``,
+    decided on the edges between the parts.
+
+    Both sides are certified splitted graphs, so once ``corr`` maps the
+    variant's clique part onto ``s.clique_part`` and its independent part
+    onto ``s.independent_part`` (a bijection onto V(s)), they are equal
+    exactly when their cross edges are.
+    """
+    clique, indep, cross = _split_template(spec)
+    if variant in _SWAPS_PARTS:
+        clique, indep = indep, clique
+    a = {corr.get(t) for t in clique}
+    b = {corr.get(t) for t in indep}
+    if len(a) != len(clique) or len(b) != len(indep):
+        return False
+    if a != s.clique_part or b != s.independent_part:
+        return False
+    renamed = {_edge(corr[x], corr[y]) for x, y in cross}
+    target = {_edge(x, y) for y in b for x in s.graph.neighbors(y)}
+    if variant in _FLIPS_CROSS:
+        return len(renamed) + len(target) == len(a) * len(b) and renamed.isdisjoint(target)
+    return renamed == target
+
+
 def match_split_component(s: SplittedGraph) -> ComponentMatch | None:
     """Identify an indecomposable splitted component in the catalog.
 
     Variants are tried in a fixed order (identity, inverse, complement,
     inverse of complement) and families in the order K1, S2, S3, S4, so
-    self-symmetric pieces match deterministically. Every inference is
-    confirmed by exact template equality before it is returned.
+    self-symmetric pieces match deterministically. Each variant is read off
+    the component's adjacency, and every inference is confirmed by
+    comparing the renamed template's edges with the component's before it
+    is returned.
     """
     for variant in VARIANTS:
-        w = apply_variant(s, variant)
+        w = _split_view(s, variant)
         for infer in (_infer_k1, _infer_s2, _infer_s3, _infer_s4):
             hit = infer(w)
             if hit is None:
                 continue
             spec, corr = hit
-            template = build_template(spec)
-            if rename_splitted(apply_variant(template, variant), corr) == s:
+            if _confirms_split(s, spec, variant, corr):
                 return ComponentMatch(spec, variant, corr)
     return None
 
@@ -488,10 +535,11 @@ def _infer_c5(g: Graph) -> tuple[C5Spec, dict[str, str]] | None:
 def _sorted_matching_pairs(g: Graph, vs: list[str]) -> list[tuple[str, str]] | None:
     pairs = []
     seen: set[str] = set()
+    vset = set(vs)
     for v in sorted(vs):
         if v in seen:
             continue
-        partners = [w for w in g.neighbors(v) if w in set(vs)]
+        partners = list(g.neighbors(v) & vset)
         if len(partners) != 1:
             return None
         seen |= {v, partners[0]}
@@ -557,7 +605,7 @@ def _infer_u3(g: Graph) -> tuple[U3Spec, dict[str, str]] | None:
     if len(w13) != 2:
         return None
     pairs_vs = [v for v in g.vertices if v not in (h, w2, *w13)]
-    pairs = _sorted_matching_pairs(induced(g, pairs_vs), pairs_vs)
+    pairs = _sorted_matching_pairs(g, pairs_vs)
     if pairs is None:
         return None
     corr = {"h": h, "w1": w13[0], "w2": w2, "w3": w13[1]}
@@ -566,8 +614,26 @@ def _infer_u3(g: Graph) -> tuple[U3Spec, dict[str, str]] | None:
     return U3Spec(m), corr
 
 
+def _confirms_nonsplit(g: Graph, spec: FamilySpec, variant: str, corr: Mapping[str, str]) -> bool:
+    """``rename(apply_variant(build_template(spec), variant), corr) == g``,
+    decided on the template's edges: equal to ``g``'s for identity, and
+    disjoint from them with the complementary count for complement."""
+    names, edges = _nonsplit_template(spec)
+    image = {corr.get(t) for t in names}
+    if len(image) != len(names) or image != g.vertex_set:
+        return False
+    renamed = {_edge(corr[x], corr[y]) for x, y in edges}
+    if variant == "complement":
+        return len(renamed) + g.m == g.n * (g.n - 1) // 2 and renamed.isdisjoint(g.edges)
+    return renamed == g.edges
+
+
 def match_nonsplit_component(g: Graph) -> ComponentMatch | None:
-    """Identify an indecomposable nonsplit core in the catalog."""
+    """Identify an indecomposable nonsplit core in the catalog.
+
+    Every inference is confirmed by comparing the renamed template's edges
+    with the core's before it is returned.
+    """
     for variant in _NONSPLIT_VARIANTS:
         w = g if variant == "identity" else complement(g)
         for infer in (_infer_c5, _infer_mk2, _infer_u2, _infer_u3):
@@ -575,8 +641,7 @@ def match_nonsplit_component(g: Graph) -> ComponentMatch | None:
             if hit is None:
                 continue
             spec, corr = hit
-            template = build_template(spec)
-            if rename(apply_variant(template, variant), corr) == g:
+            if _confirms_nonsplit(g, spec, variant, corr):
                 return ComponentMatch(spec, variant, corr)
     return None
 

@@ -5,7 +5,8 @@ oracle {cwd,unigraph,decomps}. Graphs travel as edge-list files,
 expressions as .kx files; '-' means stdin. Exit codes: 0 success (and
 "yes" verdicts), 1 negative verdict, 2 malformed input or usage error,
 3 size-guard violation, 4 internal error (a synthesized expression failed
-its verification).
+its verification, or any other unexpected exception). Errors are one line
+on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -403,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:  # the command-line boundary: one line, no traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

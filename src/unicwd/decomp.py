@@ -5,18 +5,32 @@ to R, B an independent set with no edges to R, and R nonempty. Peeling
 inclusion-minimal top splits repeatedly factors every graph into a chain of
 indecomposable splitted components over an indecomposable core.
 
-The top-split search generates candidates from the degree order: for a
-valid split with |A| = i, |B| = j and |R| = m >= 2, every vertex of degree
-above i+m-1 is forced into A, every vertex of degree below i into B, and
-the vertices at the two boundary degrees are provably interchangeable
-within their pool (and cannot be needed on both sides at once), so one
-canonical pick per (i, j) decides existence. Rest size 1 is enumerated
-directly. The exhaustive oracle certifies this search at small n.
+The top-split search reads the sizes off the degree sequence (Tyshkevich,
+"Decomposition of graphical sequences and unigraphs", Discrete Math. 220,
+2000). For disjoint A, B with |A| = i, |B| = j and rest R of size m,
+
+    sum_A deg - sum_B deg = 2e(A) + e(A, R) - 2e(B) - e(B, R) <= i(i-1) + i*m,
+
+with equality exactly when (A, B, R) is a top split. The left side is
+largest for the i top-degree and j bottom-degree vertices, so a split of
+sizes (i, j) exists iff the top-i degree sum minus the bottom-j degree sum
+equals i(n-j-1) -- one comparison of prefix sums per size pair -- and then
+every choice of tied vertices is one. The candidate for (i, j) is the i
+top-degree and j bottom-degree vertices, ties broken by name; for rest size
+1 the candidates are the vertices r whose degree i passes for (i, n-1-i),
+with A = N(r). Each candidate is still certified edge by edge before it is
+accepted.
+
+``decompose`` peels on the input graph itself: it keeps the live vertex set
+and the live degrees (a rest vertex loses exactly |A| at each peel) and
+builds a graph only for each emitted component and for the final core.
+The exhaustive oracle certifies the decomposition at small n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graph import (
     Graph,
@@ -85,17 +99,67 @@ def compose_splitted(s1: SplittedGraph, s2: SplittedGraph) -> SplittedGraph:
     )
 
 
-def _valid_top_split(g: Graph, a: set[str], b: set[str]) -> bool:
-    rest = g.vertex_set - a - b
+def _degree_sums(degrees: list[int]) -> tuple[list[int], list[int]]:
+    """Prefix sums of the degrees taken largest first and smallest first."""
+    return [0, *accumulate(sorted(degrees, reverse=True))], [0, *accumulate(sorted(degrees))]
+
+
+def _split_sizes(top: list[int], bottom: list[int], s: int) -> list[int]:
+    """The sizes i = |A| of the top splits with |A| + |B| = s.
+
+    A split of sizes (i, s - i) exists iff the top-i degree sum minus the
+    bottom-(s - i) degree sum is i(n - s + i - 1); see the module docstring.
+    """
+    n = len(top) - 1
+    return [i for i in range(s + 1) if top[i] - bottom[s - i] == i * (n - s + i - 1)]
+
+
+def _valid_top_split(g: Graph, live: frozenset[str], a: set[str], b: set[str]) -> bool:
+    rest = live - a - b
     if not rest or not (a or b):
         return False
     for v in a:
         if not rest <= g.neighbors(v):
             return False
     for v in b:
-        if g.neighbors(v) & rest:
+        if not rest.isdisjoint(g.neighbors(v)):
             return False
     return is_clique(g, a) and is_independent(g, b)
+
+
+def _top_split(g: Graph, live: frozenset[str], deg: dict[str, int]) -> TopSplit | None:
+    """``find_top_split`` on the subgraph of ``g`` induced by ``live``.
+
+    ``deg`` holds the degrees within ``live``.
+    """
+    n = len(live)
+    if n < 2:
+        return None
+    vs = [v for v in g.vertices if v in live]  # name-sorted
+    # stable sorts keep equal degrees name-sorted: A and B take the
+    # name-sorted picks from the boundary degree pools
+    desc = sorted(vs, key=lambda v: -deg[v])
+    asc = sorted(vs, key=lambda v: deg[v])
+    top, bottom = _degree_sums([deg[v] for v in vs])
+    for s in range(1, n):
+        sizes = _split_sizes(top, bottom, s)
+        candidates: list[tuple[frozenset[str], frozenset[str]]] = []
+        if s == n - 1:  # rest size 1: A is the neighbourhood of the rest vertex
+            for r in vs:
+                if deg[r] in sizes:
+                    a = g.neighbors(r) & live
+                    b = live - a - {r}
+                    if _valid_top_split(g, live, a, b):
+                        candidates.append((a, b))
+        else:
+            for i in sizes:
+                a, b = set(desc[:i]), set(asc[: s - i])
+                if _valid_top_split(g, live, a, b):
+                    candidates.append((frozenset(a), frozenset(b)))
+        if candidates:
+            a, b = min(candidates, key=lambda ab: tuple(sorted(ab[0] | ab[1])))
+            return TopSplit(a, b, live - a - b)
+    return None
 
 
 def find_top_split(g: Graph) -> TopSplit | None:
@@ -104,57 +168,7 @@ def find_top_split(g: Graph) -> TopSplit | None:
     Ties at the minimal size are broken by the lexicographically smallest
     sorted vertex-name tuple of A u B.
     """
-    n = g.n
-    if n < 2:
-        return None
-    vs = g.vertices
-    deg = {v: g.degree(v) for v in vs}
-    by_deg: dict[int, list[str]] = {}
-    for v in vs:  # vertices are sorted, so pools are name-sorted
-        by_deg.setdefault(deg[v], []).append(v)
-    count_by_deg = {d: len(names) for d, names in by_deg.items()}
-    degs_sorted = sorted(count_by_deg)
-
-    def count_gt(x: int) -> int:
-        return sum(count_by_deg[d] for d in degs_sorted if d > x)
-
-    def count_lt(x: int) -> int:
-        return sum(count_by_deg[d] for d in degs_sorted if d < x)
-
-    for s in range(1, n):
-        m = n - s
-        candidates: list[tuple[frozenset[str], frozenset[str]]] = []
-        if m == 1:
-            for r in vs:
-                a = set(g.neighbors(r))
-                b = g.vertex_set - a - {r}
-                if is_clique(g, a) and is_independent(g, b):
-                    candidates.append((frozenset(a), frozenset(b)))
-        else:
-            for i in range(0, s + 1):
-                j = s - i
-                t_hi = i + m - 1
-                t_lo = i
-                forced_a = count_gt(t_hi)
-                forced_b = count_lt(t_lo)
-                if forced_a > i or forced_b > j:
-                    continue
-                need_a = i - forced_a
-                need_b = j - forced_b
-                if need_a > 0 and need_b > 0:
-                    continue  # provably unsatisfiable: see module docstring
-                if need_a > len(by_deg.get(t_hi, ())) or need_b > len(by_deg.get(t_lo, ())):
-                    continue
-                a = {v for v in vs if deg[v] > t_hi}
-                a.update(by_deg.get(t_hi, ())[:need_a])
-                b = {v for v in vs if deg[v] < t_lo}
-                b.update(by_deg.get(t_lo, ())[:need_b])
-                if _valid_top_split(g, a, b):
-                    candidates.append((frozenset(a), frozenset(b)))
-        if candidates:
-            a, b = min(candidates, key=lambda ab: tuple(sorted(ab[0] | ab[1])))
-            return TopSplit(a, b, g.vertex_set - a - b)
-    return None
+    return _top_split(g, g.vertex_set, {v: g.degree(v) for v in g.vertices})
 
 
 def decompose(g: Graph) -> CanonicalDecomposition:
@@ -166,13 +180,17 @@ def decompose(g: Graph) -> CanonicalDecomposition:
     ``recompose``.
     """
     components: list[SplittedGraph] = []
-    core = g
-    while core.n >= 2:
-        ts = find_top_split(core)
+    live = g.vertex_set
+    deg = {v: g.degree(v) for v in g.vertices}
+    while len(live) >= 2:
+        ts = _top_split(g, live, deg)
         if ts is None:
             break
-        components.append(SplittedGraph(induced(core, ts.a | ts.b), ts.a, ts.b))
-        core = induced(core, ts.rest)
+        components.append(SplittedGraph(induced(g, ts.a | ts.b), ts.a, ts.b))
+        live = ts.rest
+        for r in live:
+            deg[r] -= len(ts.a)
+    core = g if len(live) == g.n else induced(g, live)
     tail: Graph | None = None
     if core.n == 0:
         tail = None
@@ -199,9 +217,9 @@ def splitted_decomposable(s: SplittedGraph) -> bool:
     """Whether (S, A, B) is a composition of two nonempty splitted graphs.
 
     The outer part of any such factorization consists of the top-degree
-    clique vertices and the bottom-degree independent vertices, with the
-    same boundary-pool exchange argument as ``find_top_split``, so checking
-    one canonical pick per size pair is exact.
+    clique vertices and the bottom-degree independent vertices, and tied
+    vertices are interchangeable (the argument of the module docstring), so
+    checking one canonical pick per size pair is exact.
     """
     g = s.graph
     a_sorted = sorted(s.clique_part, key=lambda v: (-g.degree(v), v))

@@ -9,6 +9,7 @@ isomorphism. All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -50,7 +51,9 @@ def _edge(u: str, v: str) -> Edge:
 class Graph:
     """A finite simple undirected graph.
 
-    Vertices are opaque, whitespace-free string names. The edge pair-set is
+    Vertices are opaque string names; the file formats take only the names
+    that ``_name_error`` accepts (no whitespace, brackets or '#', and not
+    ``vertex``), and their writers raise on any other. The edge pair-set is
     authoritative; a per-vertex neighbor index is kept for O(1) adjacency
     tests. No self-loops, no duplicate edges; connectivity is not required
     (several catalog graphs are disconnected).
@@ -70,16 +73,29 @@ class Graph:
                 raise ValueError(f"edge endpoint {u!r} is not a declared vertex")
             if v not in vset:
                 raise ValueError(f"edge endpoint {v!r} is not a declared vertex")
-            e = _edge(u, v)
-            if e not in es:
-                es.add(e)
-                adj[u].add(v)
-                adj[v].add(u)
+            es.add((u, v) if u < v else (v, u))  # as _edge; the sets drop repeats
+            adj[u].add(v)
+            adj[v].add(u)
         self._vertices = vs
         self._vset = vset
         self._edges = frozenset(es)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._hash: int | None = None
+
+    @classmethod
+    def _from_adjacency(cls, adj: dict[str, frozenset[str]]) -> "Graph":
+        """A graph from a symmetric, loop-free neighbour map over its own keys.
+
+        Unchecked: the callers derive the map from another graph's
+        adjacency (``induced``, ``complement``).
+        """
+        g = cls.__new__(cls)
+        g._vertices = tuple(sorted(adj))
+        g._vset = frozenset(adj)
+        g._edges = frozenset((u, v) for u, ns in adj.items() for v in ns if u < v)
+        g._adj = adj
+        g._hash = None
+        return g
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -129,8 +145,8 @@ class Graph:
 
 def complement(g: Graph) -> Graph:
     """Same vertex set; an edge is present iff it is absent in ``g``."""
-    edges = [(u, v) for u, v in combinations(g.vertices, 2) if not g.has_edge(u, v)]
-    return Graph(g.vertices, edges)
+    vset, adj = g.vertex_set, g._adj
+    return Graph._from_adjacency({u: vset - adj[u] - {u} for u in vset})
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -147,7 +163,8 @@ def induced(g: Graph, vs: Iterable[str]) -> Graph:
     unknown = keep - g.vertex_set
     if unknown:
         raise ValueError(f"unknown vertex {sorted(unknown)[0]!r}")
-    return Graph(keep, [(u, v) for u, v in g.edges if u in keep and v in keep])
+    adj = g._adj
+    return Graph._from_adjacency({u: adj[u] & keep for u in keep})
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:
@@ -156,13 +173,22 @@ def degree_sequence(g: Graph) -> tuple[int, ...]:
 
 
 def is_clique(g: Graph, vs: Iterable[str]) -> bool:
+    """Every two listed vertices are adjacent (a repeated or unknown one never is)."""
     vl = list(vs)
-    return all(g.has_edge(u, v) for u, v in combinations(vl, 2))
+    if len(vl) < 2:
+        return True
+    vset = set(vl)
+    if len(vset) != len(vl):
+        return False
+    adj = g._adj
+    return all(v in adj and len(vset & adj[v]) == len(vl) - 1 for v in vset)
 
 
 def is_independent(g: Graph, vs: Iterable[str]) -> bool:
-    vl = list(vs)
-    return not any(g.has_edge(u, v) for u, v in combinations(vl, 2))
+    """No two listed vertices are adjacent (unknown ones have no neighbours)."""
+    vset = set(vs)
+    adj = g._adj
+    return all(vset.isdisjoint(adj[v]) for v in vset if v in adj)
 
 
 def is_split_partition(g: Graph, a: Iterable[str], b: Iterable[str]) -> bool:
@@ -370,10 +396,10 @@ def split_bipartition(g: Graph) -> tuple[frozenset[str], frozenset[str]] | None:
     against all bipartitions for small n in the test suite.
     """
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    a: list[str] = []
+    a: set[str] = set()
     for v in order:
-        if all(g.has_edge(v, u) for u in a):
-            a.append(v)
+        if a <= g.neighbors(v):
+            a.add(v)
     aset = frozenset(a)
     bset = frozenset(g.vertex_set - aset)
     if is_independent(g, bset):
@@ -397,6 +423,24 @@ def find_induced_p4(g: Graph) -> tuple[str, str, str, str] | None:
 # edge-list text format
 
 
+_NAME_BREAKERS = re.compile(r"[\s()#]")
+
+
+def _name_error(name: str) -> str | None:
+    """Why ``name`` cannot be a vertex name in the edge-list and .kx files, or None.
+
+    A name is non-empty, has no whitespace, '(', ')' or '#', and is not the
+    edge-list keyword ``vertex``.
+    """
+    if not name:
+        return "empty vertex name"
+    if name == "vertex":
+        return "'vertex' cannot be a vertex name"
+    if _NAME_BREAKERS.search(name):
+        return f"vertex name {name!r} contains whitespace, '(', ')' or '#'"
+    return None
+
+
 class GraphFormatError(ValueError):
     """Malformed edge-list text; carries a 1-based line number."""
 
@@ -411,9 +455,10 @@ def read_edge_list(text: str) -> Graph:
     Line 1 is ``n m``; then ``m`` lines ``u v`` (one per undirected edge)
     and optional ``vertex <name>`` lines declaring isolated vertices.
     Lines beginning with ``#`` are comments, blank lines are ignored.
+    Vertex names must pass the shared name check (``_name_error``).
     """
     header: tuple[int, int] | None = None
-    declared: set[str] = set()
+    names: set[str] = set()
     edges: list[tuple[str, str]] = []
     seen: set[Edge] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -434,10 +479,17 @@ def read_edge_list(text: str) -> Graph:
         if tokens[0] == "vertex":
             if len(tokens) != 2:
                 raise GraphFormatError(lineno, "expected 'vertex <name>'")
-            declared.add(tokens[1])
-            continue
-        if len(tokens) != 2:
+            tokens = tokens[1:]
+        elif len(tokens) != 2:
             raise GraphFormatError(lineno, "expected edge 'u v'")
+        for name in tokens:
+            if name not in names:
+                problem = _name_error(name)
+                if problem:
+                    raise GraphFormatError(lineno, problem)
+                names.add(name)
+        if len(tokens) == 1:
+            continue
         u, v = tokens
         if u == v:
             raise GraphFormatError(lineno, f"self-loop at vertex {u!r}")
@@ -451,16 +503,21 @@ def read_edge_list(text: str) -> Graph:
     n, m = header
     if len(edges) != m:
         raise GraphFormatError(1, f"header declares {m} edges, found {len(edges)}")
-    names = declared | {u for u, _ in edges} | {v for _, v in edges}
     if len(names) != n:
         raise GraphFormatError(1, f"header declares {n} vertices, found {len(names)}")
     return Graph(names, edges)
 
 
 def to_edge_list(g: Graph) -> str:
-    """Deterministic edge-list text: sorted vertices, sorted edge pairs."""
+    """Deterministic edge-list text: sorted vertices, sorted edge pairs.
+
+    Raises ValueError for a vertex name the format cannot hold.
+    """
     lines = [f"{g.n} {g.m}"]
     for v in g.vertices:
+        problem = _name_error(v)
+        if problem:
+            raise ValueError(problem)
         if g.degree(v) == 0:
             lines.append(f"vertex {v}")
     for u, v in sorted(g.edges):

@@ -5,8 +5,9 @@ union (n-ary), join every label-i vertex to every label-j vertex, and
 relabel. Labels are arbitrary positive integers; the width of an expression
 is the number of distinct labels appearing anywhere in it.
 
-All traversals (evaluation, width, printing, parsing) are iterative so that
-deeply chained expressions do not hit the interpreter recursion limit.
+All traversals (evaluation, width, printing, parsing, ``==`` and ``hash``)
+are iterative so that deeply chained expressions do not hit the interpreter
+recursion limit. Equality is structural and a node caches its hash.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, TypeVar, Union as TUnion
 
-from .graph import Graph, SplittedGraph, _edge
+from .graph import Graph, SplittedGraph, _edge, _name_error
 
 __all__ = [
     "DuplicateVertexError",
@@ -45,8 +46,57 @@ def _check_label(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Intro:
+class _Node:
+    """Structural, iterative ``==`` and cached ``hash`` for the four node kinds."""
+
+    _hash: int | None = None
+
+    def _fields(self) -> tuple:
+        raise NotImplementedError
+
+    def _children(self) -> tuple["KExpr", ...]:
+        return ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            x, y = pairs.pop()
+            if x is y:
+                continue
+            if type(x) is not type(y) or x._fields() != y._fields():
+                return False
+            xs, ys = x._children(), y._children()
+            if len(xs) != len(ys):
+                return False
+            pairs.extend(zip(xs, ys))
+        return True
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so the cache does not travel
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            # postorder over the nodes whose hash is not cached yet
+            work: list[tuple[_Node, bool]] = [(self, False)]
+            while work:
+                node, ready = work.pop()
+                if node._hash is not None:
+                    continue
+                kids = node._children()
+                if ready:
+                    h = hash((type(node).__name__, node._fields(), tuple(c._hash for c in kids)))
+                    object.__setattr__(node, "_hash", h)
+                else:
+                    work.append((node, True))
+                    work.extend((c, False) for c in kids)
+        return self._hash
+
+
+@dataclass(frozen=True, eq=False)
+class Intro(_Node):
     """Introduce a new vertex with the given label."""
 
     name: str
@@ -55,9 +105,12 @@ class Intro:
     def __post_init__(self) -> None:
         _check_label(self.label)
 
+    def _fields(self) -> tuple:
+        return (self.name, self.label)
 
-@dataclass(frozen=True)
-class Union:
+
+@dataclass(frozen=True, eq=False)
+class Union(_Node):
     """Disjoint union of two or more subexpressions."""
 
     children: tuple["KExpr", ...]
@@ -69,9 +122,15 @@ class Union:
             raise ValueError("union needs at least two subexpressions")
         object.__setattr__(self, "children", tuple(children))
 
+    def _fields(self) -> tuple:
+        return ()
 
-@dataclass(frozen=True)
-class Join:
+    def _children(self) -> tuple["KExpr", ...]:
+        return self.children
+
+
+@dataclass(frozen=True, eq=False)
+class Join(_Node):
     """Add every absent edge between label-i and label-j vertices (i != j)."""
 
     i: int
@@ -84,9 +143,15 @@ class Join:
         if self.i == self.j:
             raise ValueError("join labels must differ")
 
+    def _fields(self) -> tuple:
+        return (self.i, self.j)
 
-@dataclass(frozen=True)
-class Relabel:
+    def _children(self) -> tuple["KExpr", ...]:
+        return (self.child,)
+
+
+@dataclass(frozen=True, eq=False)
+class Relabel(_Node):
     """Rewrite every occurrence of label ``old`` to ``new``."""
 
     old: int
@@ -96,6 +161,12 @@ class Relabel:
     def __post_init__(self) -> None:
         _check_label(self.old)
         _check_label(self.new)
+
+    def _fields(self) -> tuple:
+        return (self.old, self.new)
+
+    def _children(self) -> tuple["KExpr", ...]:
+        return (self.child,)
 
 
 KExpr = TUnion[Intro, Union, Join, Relabel]
@@ -404,6 +475,9 @@ def _reduce(frame: list, closer: _Token) -> KExpr:
         if len(items) != 2 or is_node(items[0]) or is_node(items[1]):
             raise KExprSyntaxError(line, col, "expected (v NAME LABEL)")
         name_tok, label_tok = items
+        problem = _name_error(name_tok[1])
+        if problem:
+            raise KExprSyntaxError(name_tok[2], name_tok[3], problem)
         return Intro(name_tok[1], _posint(label_tok, "label"))
     if opname == "u":
         if len(items) < 2 or not all(is_node(x) for x in items):
@@ -423,7 +497,10 @@ def _reduce(frame: list, closer: _Token) -> KExpr:
 
 
 def to_text(e: KExpr) -> str:
-    """Normalized textual form; ``parse(to_text(e)) == e``."""
+    """Normalized textual form; ``parse(to_text(e)) == e``.
+
+    Raises ValueError for a vertex name the grammar cannot hold.
+    """
     out: list[str] = []
     stack: list[TUnion[KExpr, str]] = [e]
     while stack:
@@ -432,6 +509,9 @@ def to_text(e: KExpr) -> str:
             out.append(item)
             continue
         if isinstance(item, Intro):
+            problem = _name_error(item.name)
+            if problem:
+                raise ValueError(problem)
             out.append(f"(v {item.name} {item.label})")
         elif isinstance(item, Union):
             out.append("(u")

@@ -1,5 +1,7 @@
 """Catalog templates, variants, matching, recognition, generation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from unicwd import (
     degree_sequence,
     havel_hakimi,
     is_isomorphic,
+    is_split_partition,
     is_unigraph,
     match_nonsplit_component,
     match_split_component,
@@ -185,6 +188,74 @@ NONSPLIT_SPECS = [
     U3Spec(1),
     U3Spec(3),
 ]
+
+
+def _one_edge_off(g, rng):
+    """``g``, ``g`` less one edge and ``g`` plus one non-edge."""
+    pairs = [(u, v) for i, u in enumerate(g.vertices) for v in g.vertices[i + 1 :]]
+    out = [g]
+    if g.edges:
+        out.append(G(g.vertices, g.edges - {rng.choice(sorted(g.edges))}))
+    missing = [e for e in pairs if e not in g.edges]
+    if missing:
+        out.append(G(g.vertices, g.edges | {rng.choice(missing)}))
+    return out
+
+
+def _perturbed(names, rng, trial):
+    """The identity correspondence onto g_-prefixed names, with ``trial`` random swaps."""
+    image = [f"g_{v}" for v in names]
+    for _ in range(trial % 3):
+        i, j = rng.randrange(len(image)), rng.randrange(len(image))
+        image[i], image[j] = image[j], image[i]
+    if trial == 7:
+        image[0] = "g_stranger"
+    return dict(zip(names, image))
+
+
+class TestEdgeLevelConfirmation:
+    """The edge-level confirmation agrees with building and comparing the graphs."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [K1Spec("clique"), K1Spec("independent"), S2Spec(((2, 1), (1, 2))), S3Spec(1, 2, 1), S4Spec(1, 1), S4Spec(2, 2)],
+        ids=repr,
+    )
+    def test_split(self, spec):
+        from unicwd.catalog import _confirms_split
+
+        rng = random.Random(5)
+        t = build_template(spec)
+        names = list(t.graph.vertices)
+        for shown in VARIANTS:
+            base = rename_splitted(apply_variant(t, shown), {v: f"g_{v}" for v in names})
+            for h in _one_edge_off(base.graph, rng):
+                if not is_split_partition(h, base.clique_part, base.independent_part):
+                    continue
+                s = SplittedGraph(h, base.clique_part, base.independent_part)
+                for variant in VARIANTS:
+                    for trial in range(12):
+                        corr = _perturbed(names, rng, trial)
+                        expected = rename_splitted(apply_variant(t, variant), corr) == s
+                        assert _confirms_split(s, spec, variant, corr) == expected
+
+    @pytest.mark.parametrize(
+        "spec", [C5Spec(), MK2Spec(3), U2Spec(1, 2), U2Spec(2, 3), U3Spec(1), U3Spec(2)], ids=repr
+    )
+    def test_nonsplit(self, spec):
+        from unicwd.catalog import _confirms_nonsplit
+
+        rng = random.Random(6)
+        t = build_template(spec)
+        names = list(t.vertices)
+        for shown in ("identity", "complement"):
+            base = rename(apply_variant(t, shown), {v: f"g_{v}" for v in names})
+            for g in _one_edge_off(base, rng):
+                for variant in ("identity", "complement"):
+                    for trial in range(12):
+                        corr = _perturbed(names, rng, trial)
+                        expected = rename(apply_variant(t, variant), corr) == g
+                        assert _confirms_nonsplit(g, spec, variant, corr) == expected
 
 
 class TestMatchNonsplit:

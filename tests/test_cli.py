@@ -124,6 +124,20 @@ class TestSynthesizeEvalCheck:
         assert err.startswith("error: internal: component 1 (C5/identity)")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_unexpected_exception_exit_4(self, capsys, tmp_path, monkeypatch):
+        import unicwd.cli
+
+        def broken(args):
+            raise KeyError("lost")
+
+        p = tmp_path / "c5.el"
+        p.write_text(to_edge_list(cycle_graph(*"abcde")))
+        monkeypatch.setattr(unicwd.cli, "_cmd_recognize", broken)
+        code, out, err = run(capsys, "recognize", str(p))
+        assert code == 4
+        assert out == ""
+        assert err == "error: internal: KeyError: 'lost'\n"
+
     def test_synthesize_check_loop(self, capsys, tmp_path, u3_file):
         expr_path = str(tmp_path / "u3.kx")
         code, out, _ = run(capsys, "synthesize", u3_file, "-o", expr_path)

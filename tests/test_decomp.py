@@ -113,6 +113,19 @@ class TestFindTopSplit:
             assert len(found.a | found.b) == min_size
 
 
+    @given(graphs_st(max_n=7))
+    @settings(max_examples=200)
+    def test_degree_sum_gate_is_exact(self, g):
+        """The gate passes for (i, j) iff a top split with |A| = i, |B| = j exists."""
+        from unicwd.decomp import _degree_sums, _split_sizes
+        from unicwd.solve import _all_top_splits
+
+        exhaustive = {(len(a), len(b)) for a, b, _ in _all_top_splits(g)}
+        top, bottom = _degree_sums([g.degree(v) for v in g.vertices])
+        gate = {(i, s - i) for s in range(1, g.n) for i in _split_sizes(top, bottom, s)}
+        assert gate == exhaustive
+
+
 class TestDecompose:
     def test_c5_is_pure_tail(self):
         d = decompose(C5)

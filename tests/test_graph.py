@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     G,
@@ -23,6 +24,8 @@ from unicwd import (
     disjoint_union,
     find_induced_p4,
     induced,
+    is_clique,
+    is_independent,
     is_isomorphic,
     is_split_partition,
     read_edge_list,
@@ -153,6 +156,37 @@ class TestBasicOps:
         assert degree_sequence(build_template(U3Spec(1))) == (4, 2, 2, 2, 2, 2)
 
 
+class TestCliqueAndIndependent:
+    # fixed before the neighbour-set rewrite: pairs are taken by position, a
+    # repeated vertex is never adjacent to itself, an unknown one to nothing
+    def test_zero_and_one_vertex(self):
+        for vs in ([], ["a"], ["zz"]):
+            assert is_clique(P4, vs)
+            assert is_independent(P4, vs)
+
+    def test_duplicates(self):
+        k3 = complete_graph("a", "b", "c")
+        assert not is_clique(k3, ["a", "a"])
+        assert not is_clique(k3, ["a", "b", "a"])
+        assert not is_clique(k3, ["zz", "zz"])
+        assert is_independent(P4, ["a", "a"])
+        assert is_independent(P4, ["a", "c", "a"])
+        assert not is_independent(P4, ["a", "b", "a"])
+
+    def test_unknown_names(self):
+        k3 = complete_graph("a", "b", "c")
+        assert not is_clique(k3, ["a", "zz"])
+        assert not is_clique(k3, ["zz", "a", "b"])
+        assert is_independent(P4, ["a", "zz"])
+        assert is_independent(P4, ["zz", "yy"])
+        assert not is_independent(P4, ["zz", "b", "c"])
+
+    def test_plain_cases_and_iterables(self):
+        assert is_clique(P4, ("b", "c")) and not is_clique(P4, {"a", "b", "c"})
+        assert is_independent(P4, iter(["a", "c"])) and not is_independent(P4, ["c", "d"])
+        assert is_clique(complete_graph("a", "b", "c"), iter(["c", "a", "b"]))
+
+
 class TestSplitPartition:
     def test_p4_centers_and_leaves(self):
         assert is_split_partition(P4, {"b", "c"}, {"a", "d"})
@@ -263,3 +297,49 @@ class TestEdgeListFormat:
     @given(graphs_st())
     def test_roundtrip_property(self, g):
         assert read_edge_list(to_edge_list(g)) == g
+
+
+# names the formats can and cannot hold: whitespace of every kind, the
+# .kx brackets, the comment sign and the declaration keyword
+names_st = st.one_of(
+    st.text(alphabet="av1_.-", min_size=1, max_size=4),
+    st.just("vertex"),
+    st.text(alphabet="av1_.-()# \t\n\x0b\x1c\u2028", max_size=4),
+)
+
+
+@st.composite
+def named_graphs_st(draw):
+    names = draw(st.lists(names_st, max_size=5, unique=True))
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
+    return Graph(names, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+
+
+class TestVertexNames:
+    def test_keyword_name_rejected_on_write(self):
+        with pytest.raises(ValueError, match="'vertex'"):
+            to_edge_list(Graph(["vertex", "x"], [("vertex", "x")]))
+
+    def test_comment_sign_rejected_on_write(self):
+        with pytest.raises(ValueError, match="'#b'"):
+            to_edge_list(Graph(["#b", "a"], [("#b", "a")]))
+
+    def test_bad_names_rejected_on_read_with_line(self):
+        with pytest.raises(GraphFormatError, match="line 3: .*'a#b'"):
+            read_edge_list("3 1\nvertex c\na#b d\n")
+        with pytest.raises(GraphFormatError, match="line 2: 'vertex'"):
+            read_edge_list("1 0\nvertex vertex\n")
+        with pytest.raises(GraphFormatError, match="line 2: .*'a\\(b'"):
+            read_edge_list("2 1\na(b c\n")
+
+    @given(named_graphs_st())
+    def test_write_read_identity(self, g):
+        try:
+            text = to_edge_list(g)
+        except ValueError:
+            assert any(
+                not v or v == "vertex" or any(c.isspace() or c in "()#" for c in v)
+                for v in g.vertices
+            )
+            return
+        assert read_edge_list(text) == g

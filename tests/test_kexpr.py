@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import exprs_st, random_expr
 from unicwd import (
@@ -25,6 +26,7 @@ from unicwd import (
     width,
 )
 from unicwd.graph import Graph
+from unicwd.kexpr import fold_expr, vertex_names
 
 FIG_EXPR = (
     "(r 3 1 (r 2 1 (j 1 3 (u"
@@ -143,14 +145,59 @@ class TestGrammar:
             e = random_expr(rng)
             assert parse(to_text(e)) == e
 
+    def test_unwritable_name_rejected(self):
+        with pytest.raises(ValueError, match="'x\\(1'"):
+            to_text(Intro("x(1", 1))
+        with pytest.raises(ValueError, match="'vertex'"):
+            to_text(Union(Intro("a", 1), Intro("vertex", 2)))
+
+    def test_keyword_name_rejected_on_parse(self):
+        with pytest.raises(KExprSyntaxError, match="2:5: 'vertex'"):
+            parse("(u (v a 1)\n (v vertex 2))")
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(alphabet="av1_.-", min_size=1, max_size=4),
+                st.just("vertex"),
+                st.text(alphabet="av1_.-()# \t\n\x0b\u2028", max_size=4),
+            ),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        exprs_st,
+    )
+    def test_write_read_identity_with_any_names(self, names, shape):
+        # the generated shape's Intros take the drawn names, cycling
+        it = iter(names * 100)
+        e = fold_expr(
+            shape,
+            intro=lambda node: Intro(next(it), node.label),
+            union=lambda _, cs: Union(tuple(cs)),
+            join=lambda node, c: Join(node.i, node.j, c),
+            relabel=lambda node, c: Relabel(node.old, node.new, c),
+        )
+        try:
+            text = to_text(e)
+        except ValueError:
+            assert any(
+                not v or v == "vertex" or any(c.isspace() or c in "()#" for c in v)
+                for v in vertex_names(e)
+            )
+            return
+        assert parse(text) == e
+
     def test_deep_expression_no_recursion_limit(self):
-        # parse, print and evaluate are iterative; structural == would
-        # recurse, so the round-trip is checked on the normalized text
+        # parse, print, evaluate, == and hash are all iterative
         e = Intro("x0", 1)
         for i in range(1, 3000):
             e = Relabel(1, 1, e)
         text = to_text(e)
         assert to_text(parse(text)) == text
+        assert parse(text) == e
+        assert hash(parse(text)) == hash(e)
+        assert Relabel(1, 2, e) != Relabel(1, 2, Relabel(1, 1, e))
         assert evaluate(e).graph.n == 1
         assert width(e) == 1
 

@@ -318,6 +318,25 @@ class TestSynthesize:
         assert report.components[-1].tail
 
 
+class TestScale:
+    def test_n960_synthesize_round_trip_and_solvers(self):
+        # a dense unigraph with a deep expression: verification inside
+        # synthesize, structural == on the parsed text, both DP solvers
+        from unicwd import is_independent, parse, solve_mds, solve_mis, to_text
+
+        g, _ = random_unigraph(11, 1000)
+        assert (g.n, g.m) == (960, 383555)
+        expr, report = synthesize(g)
+        assert report.total_width <= 5
+        assert parse(to_text(expr)) == expr
+        mis, mis_wit = solve_mis(expr)
+        assert len(mis_wit) == mis and is_independent(g, mis_wit)
+        mds, mds_wit = solve_mds(expr)
+        assert len(mds_wit) == mds
+        dominated = set(mds_wit).union(*(g.neighbors(v) for v in mds_wit))
+        assert dominated == g.vertex_set
+
+
 class TestTightnessProbes:
     """The three-label constructions are optimal for the small anchors."""
 
