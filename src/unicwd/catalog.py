@@ -616,16 +616,19 @@ def _infer_u3(g: Graph) -> tuple[U3Spec, dict[str, str]] | None:
 
 def _confirms_nonsplit(g: Graph, spec: FamilySpec, variant: str, corr: Mapping[str, str]) -> bool:
     """``rename(apply_variant(build_template(spec), variant), corr) == g``,
-    decided on the template's edges: equal to ``g``'s for identity, and
-    disjoint from them with the complementary count for complement."""
+    decided on the template's edges: all of them in ``g`` with ``g.m`` of
+    them for identity, and none of them in ``g`` with the complementary
+    count for complement."""
     names, edges = _nonsplit_template(spec)
     image = {corr.get(t) for t in names}
     if len(image) != len(names) or image != g.vertex_set:
         return False
     renamed = {_edge(corr[x], corr[y]) for x, y in edges}
     if variant == "complement":
-        return len(renamed) + g.m == g.n * (g.n - 1) // 2 and renamed.isdisjoint(g.edges)
-    return renamed == g.edges
+        return len(renamed) + g.m == g.n * (g.n - 1) // 2 and not any(
+            g.has_edge(u, v) for u, v in renamed
+        )
+    return len(renamed) == g.m and all(g.has_edge(u, v) for u, v in renamed)
 
 
 def match_nonsplit_component(g: Graph) -> ComponentMatch | None:

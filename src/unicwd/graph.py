@@ -1,10 +1,12 @@
 """Simple immutable graphs over named vertices.
 
 Everything in this package is built on top of this module: a graph is a
-sorted tuple of opaque string vertex names plus a frozen set of undirected
-edges. Vertex identity is preserved by every transform, which lets the
-synthesis layer verify its output by exact edge-set equality instead of
-isomorphism. All values are immutable after construction and safe to share.
+sorted tuple of opaque string vertex names plus one frozen neighbour set per
+vertex. The neighbour map is the only stored form; the undirected edge set is
+derived from it the first time something reads ``edges``. Vertex identity is
+preserved by every transform, which lets the synthesis layer verify its
+output by exact equality with its input instead of isomorphism. All values
+are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -53,19 +55,19 @@ class Graph:
 
     Vertices are opaque string names; the file formats take only the names
     that ``_name_error`` accepts (no whitespace, brackets or '#', and not
-    ``vertex``), and their writers raise on any other. The edge pair-set is
-    authoritative; a per-vertex neighbor index is kept for O(1) adjacency
-    tests. No self-loops, no duplicate edges; connectivity is not required
-    (several catalog graphs are disconnected).
+    ``vertex``), and their writers raise on any other. The neighbour map is
+    authoritative: equality compares it, and ``edges`` (sorted pairs) and
+    ``m`` are derived from it on first use and cached. No self-loops, no
+    duplicate edges; connectivity is not required (several catalog graphs
+    are disconnected).
     """
 
-    __slots__ = ("_vertices", "_vset", "_edges", "_adj", "_hash")
+    __slots__ = ("_vertices", "_vset", "_adj", "_edges", "_m", "_hash")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> None:
         vs = tuple(sorted(set(vertices)))
         vset = frozenset(vs)
         adj: dict[str, set[str]] = {v: set() for v in vs}
-        es: set[Edge] = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u!r}")
@@ -73,13 +75,13 @@ class Graph:
                 raise ValueError(f"edge endpoint {u!r} is not a declared vertex")
             if v not in vset:
                 raise ValueError(f"edge endpoint {v!r} is not a declared vertex")
-            es.add((u, v) if u < v else (v, u))  # as _edge; the sets drop repeats
-            adj[u].add(v)
+            adj[u].add(v)  # the sets drop repeats
             adj[v].add(u)
         self._vertices = vs
         self._vset = vset
-        self._edges = frozenset(es)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        self._edges: frozenset[Edge] | None = None
+        self._m: int | None = None
         self._hash: int | None = None
 
     @classmethod
@@ -87,13 +89,15 @@ class Graph:
         """A graph from a symmetric, loop-free neighbour map over its own keys.
 
         Unchecked: the callers derive the map from another graph's
-        adjacency (``induced``, ``complement``).
+        adjacency (``induced``, ``complement``, ``rename``) or from an
+        expression (``kexpr.evaluate``).
         """
         g = cls.__new__(cls)
         g._vertices = tuple(sorted(adj))
         g._vset = frozenset(adj)
-        g._edges = frozenset((u, v) for u, ns in adj.items() for v in ns if u < v)
         g._adj = adj
+        g._edges = None
+        g._m = None
         g._hash = None
         return g
 
@@ -107,6 +111,8 @@ class Graph:
 
     @property
     def edges(self) -> frozenset[Edge]:
+        if self._edges is None:
+            self._edges = frozenset((u, v) for u, ns in self._adj.items() for v in ns if u < v)
         return self._edges
 
     @property
@@ -115,7 +121,9 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        if self._m is None:
+            self._m = sum(map(len, self._adj.values())) // 2
+        return self._m
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vset
@@ -132,11 +140,11 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vset == other._vset and self._edges == other._edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._vset, self._edges))
+            self._hash = hash(frozenset(self._adj.items()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -220,10 +228,12 @@ def connected_components(g: Graph) -> list[frozenset[str]]:
 
 def rename(g: Graph, mapping: Mapping[str, str]) -> Graph:
     """Relabel vertices through ``mapping`` (must be injective on V(g))."""
-    new_names = [mapping[v] for v in g.vertices]
-    if len(set(new_names)) != len(new_names):
+    new_names = {v: mapping[v] for v in g.vertices}
+    if len(set(new_names.values())) != len(new_names):
         raise ValueError("rename mapping is not injective")
-    return Graph(new_names, [(mapping[u], mapping[v]) for u, v in g.edges])
+    return Graph._from_adjacency(
+        {new_names[u]: frozenset(new_names[v] for v in ns) for u, ns in g._adj.items()}
+    )
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ union (n-ary), join every label-i vertex to every label-j vertex, and
 relabel. Labels are arbitrary positive integers; the width of an expression
 is the number of distinct labels appearing anywhere in it.
 
-All traversals (evaluation, width, printing, parsing, ``==`` and ``hash``)
-are iterative so that deeply chained expressions do not hit the interpreter
-recursion limit. Equality is structural and a node caches its hash.
+All traversals (evaluation, width, printing, parsing, ``==``, ``hash`` and
+``repr``) are iterative so that deeply chained expressions do not hit the
+interpreter recursion limit. Equality is structural and a node caches its
+hash.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, TypeVar, Union as TUnion
 
-from .graph import Graph, SplittedGraph, _edge, _name_error
+from .graph import Graph, SplittedGraph, _name_error
 
 __all__ = [
     "DuplicateVertexError",
@@ -46,8 +47,12 @@ def _check_label(value: int) -> int:
     return value
 
 
+_REPR_TEXT_CHARS = 60
+
+
 class _Node:
-    """Structural, iterative ``==`` and cached ``hash`` for the four node kinds."""
+    """Structural, iterative ``==``, cached ``hash`` and a bounded ``repr`` for
+    the four node kinds."""
 
     _hash: int | None = None
 
@@ -73,6 +78,20 @@ class _Node:
             pairs.extend(zip(xs, ys))
         return True
 
+    def __repr__(self) -> str:
+        # the kind, its own fields and a bounded prefix of the text: a
+        # field-by-field repr would recurse once per level of the tree
+        fields = [repr(f) for f in self._fields()]
+        if self._children():
+            text = ""
+            for piece in _text_pieces(self, check_names=False):
+                text += piece
+                if len(text) > _REPR_TEXT_CHARS:
+                    text = text[:_REPR_TEXT_CHARS] + "..."
+                    break
+            fields.append(repr(text))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
     def __getstate__(self) -> dict:
         # str hashes differ between processes, so the cache does not travel
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
@@ -95,7 +114,7 @@ class _Node:
         return self._hash
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Intro(_Node):
     """Introduce a new vertex with the given label."""
 
@@ -109,7 +128,7 @@ class Intro(_Node):
         return (self.name, self.label)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Union(_Node):
     """Disjoint union of two or more subexpressions."""
 
@@ -129,7 +148,7 @@ class Union(_Node):
         return self.children
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Join(_Node):
     """Add every absent edge between label-i and label-j vertices (i != j)."""
 
@@ -150,7 +169,7 @@ class Join(_Node):
         return (self.child,)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Relabel(_Node):
     """Rewrite every occurrence of label ``old`` to ``new``."""
 
@@ -291,46 +310,49 @@ def stats(e: KExpr) -> ExprStats:
 # ---------------------------------------------------------------------------
 # evaluation
 
-_EvalState = tuple[dict[int, set[str]], set[tuple[str, str]], set[str]]
+# label classes, and the neighbour set of every vertex introduced so far
+_EvalState = tuple[dict[int, set[str]], dict[str, set[str]]]
 
 
 def evaluate(e: KExpr) -> LabeledGraph:
     """Build the labeled graph denoted by the expression.
 
     Deterministic; raises DuplicateVertexError when two Intro nodes share a
-    vertex name.
+    vertex name. A join adds the other class to each vertex's neighbour set
+    in one set union, so no edge pair is ever materialized.
     """
 
     def on_intro(node: Intro) -> _EvalState:
-        return ({node.label: {node.name}}, set(), {node.name})
+        return ({node.label: {node.name}}, {node.name: set()})
 
     def on_union(_: Union, parts: list[_EvalState]) -> _EvalState:
-        parts.sort(key=lambda p: len(p[2]), reverse=True)
-        classes, edges, names = parts[0]
-        for cls, es, nm in parts[1:]:
-            overlap = names & nm
+        parts.sort(key=lambda p: len(p[1]), reverse=True)
+        classes, adj = parts[0]
+        for cls, part_adj in parts[1:]:
+            overlap = adj.keys() & part_adj.keys()
             if overlap:
                 raise DuplicateVertexError(sorted(overlap)[0])
-            names |= nm
-            edges |= es
+            adj.update(part_adj)
             for lab, vs in cls.items():
                 if lab in classes:
                     classes[lab] |= vs
                 else:
                     classes[lab] = vs
-        return classes, edges, names
+        return classes, adj
 
     def on_join(node: Join, state: _EvalState) -> _EvalState:
-        classes, edges, names = state
-        li = classes.get(node.i, ())
-        lj = classes.get(node.j, ())
-        for u in li:
+        classes, adj = state
+        li = classes.get(node.i)
+        lj = classes.get(node.j)
+        if li and lj:  # the classes are disjoint, so no self-loop arises
+            for u in li:
+                adj[u] |= lj
             for v in lj:
-                edges.add(_edge(u, v))
+                adj[v] |= li
         return state
 
     def on_relabel(node: Relabel, state: _EvalState) -> _EvalState:
-        classes, _, _ = state
+        classes, _ = state
         if node.old != node.new and node.old in classes:
             moved = classes.pop(node.old)
             if node.new in classes:
@@ -339,9 +361,9 @@ def evaluate(e: KExpr) -> LabeledGraph:
                 classes[node.new] = moved
         return state
 
-    classes, edges, names = fold_expr(e, on_intro, on_union, on_join, on_relabel)
+    classes, adj = fold_expr(e, on_intro, on_union, on_join, on_relabel)
     labels = {v: lab for lab, vs in classes.items() for v in vs}
-    return LabeledGraph(Graph(names, edges), labels)
+    return LabeledGraph(Graph._from_adjacency({v: frozenset(ns) for v, ns in adj.items()}), labels)
 
 
 def is_split_labeled(e: KExpr, s: SplittedGraph) -> bool:
@@ -501,32 +523,35 @@ def to_text(e: KExpr) -> str:
 
     Raises ValueError for a vertex name the grammar cannot hold.
     """
-    out: list[str] = []
+    return "".join(_text_pieces(e, check_names=True))
+
+
+def _text_pieces(e: KExpr, check_names: bool) -> Iterator[str]:
+    """The pieces of ``to_text(e)`` in order, produced lazily and iteratively."""
     stack: list[TUnion[KExpr, str]] = [e]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
-            out.append(item)
+            yield item
             continue
         if isinstance(item, Intro):
-            problem = _name_error(item.name)
+            problem = _name_error(item.name) if check_names else None
             if problem:
                 raise ValueError(problem)
-            out.append(f"(v {item.name} {item.label})")
+            yield f"(v {item.name} {item.label})"
         elif isinstance(item, Union):
-            out.append("(u")
+            yield "(u"
             stack.append(")")
             for child in reversed(item.children):
                 stack.append(child)
                 stack.append(" ")
         elif isinstance(item, Join):
-            out.append(f"(j {item.i} {item.j}")
+            yield f"(j {item.i} {item.j}"
             stack.append(")")
             stack.append(item.child)
             stack.append(" ")
         else:
-            out.append(f"(r {item.old} {item.new}")
+            yield f"(r {item.old} {item.new}"
             stack.append(")")
             stack.append(item.child)
             stack.append(" ")
-    return "".join(out)

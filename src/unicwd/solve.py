@@ -212,9 +212,9 @@ def _bitmask_adjacency(g: Graph) -> tuple[list[str], list[int]]:
     names = list(g.vertices)
     index = {v: i for i, v in enumerate(names)}
     adj = [0] * len(names)
-    for u, v in g.edges:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
+    for i, u in enumerate(names):
+        for v in g.neighbors(u):
+            adj[i] |= 1 << index[v]
     return names, adj
 
 

@@ -8,6 +8,7 @@ from helpers import (
     G,
     complete_graph,
     cycle_graph,
+    exprs_st,
     graphs_st,
     matching_graph,
     path_graph,
@@ -22,19 +23,23 @@ from unicwd import (
     complement,
     degree_sequence,
     disjoint_union,
+    evaluate,
     find_induced_p4,
     induced,
     is_clique,
     is_independent,
     is_isomorphic,
     is_split_partition,
+    parse,
     read_edge_list,
     split_bipartition,
     splitted_complement,
     splitted_inverse,
     splitted_isomorphic,
     to_edge_list,
+    to_text,
 )
+from unicwd.kexpr import vertex_names
 
 C5 = cycle_graph("a", "b", "c", "d", "e")
 P4 = path_graph("a", "b", "c", "d")
@@ -55,6 +60,47 @@ class TestConstruction:
 
     def test_vertices_sorted(self):
         assert Graph(["c", "a", "b"]).vertices == ("a", "b", "c")
+
+
+@st.composite
+def built_graphs_st(draw):
+    """A graph on names v1..v4 built by ``__init__``, ``induced``,
+    ``complement`` or ``evaluate``; small, so that the routes meet."""
+    g = draw(graphs_st(max_n=4))
+    how = draw(st.sampled_from(["init", "induced", "complement", "evaluate"]))
+    if how == "induced":
+        return induced(g, draw(st.sets(st.sampled_from(g.vertices))) if g.n else ())
+    if how == "complement":
+        return complement(g)
+    if how == "evaluate":
+        e = draw(exprs_st.filter(lambda e: len(vertex_names(e)) <= 4))
+        return evaluate(parse(to_text(e).replace("(v x", "(v v"))).graph
+    return g
+
+
+class TestRepresentation:
+    """Equality, hash and ``m`` agree with the (vertex set, edge set) view,
+    however the graph was built."""
+
+    @given(built_graphs_st(), built_graphs_st())
+    def test_equality_is_vertex_and_edge_equality(self, g1, g2):
+        rebuilt = (
+            Graph(g1.vertices, g1.edges), complement(complement(g1)), induced(g1, g1.vertices)
+        )
+        for a, b in ((g1, g2), *((g1, r) for r in rebuilt)):
+            same = (a.vertex_set, a.edges) == (b.vertex_set, b.edges)
+            assert (a == b) == same
+            if same:
+                assert hash(a) == hash(b)
+        for g in (g1, g2, *rebuilt):
+            assert g.m == len(g.edges)
+            assert all(u < v and g.has_edge(v, u) for u, v in g.edges)
+
+    def test_edges_are_built_once_on_demand(self):
+        g = complement(C5)
+        assert g._edges is None  # comparing and counting need only adjacency
+        assert g.m == 5 and is_isomorphic(g, C5) and g._edges is None
+        assert g.edges is g.edges
 
 
 class TestComplement:

@@ -37,6 +37,55 @@ FIG_EXPR = (
 )
 
 
+def _reference_evaluate(e):
+    """Pair-by-pair evaluation, recursive (small expressions only):
+    (vertex names, edge pairs, labels)."""
+    if isinstance(e, Intro):
+        return {e.name}, set(), {e.name: e.label}
+    if isinstance(e, Union):
+        parts = [_reference_evaluate(c) for c in e.children]
+        parts.sort(key=lambda p: len(p[0]), reverse=True)
+        names, edges, labels = parts[0]
+        for nm, es, labs in parts[1:]:
+            if names & nm:
+                raise DuplicateVertexError(min(names & nm))
+            names |= nm
+            edges |= es
+            labels.update(labs)
+        return names, edges, labels
+    names, edges, labels = _reference_evaluate(e.child)
+    if isinstance(e, Join):
+        for u in names:
+            for v in names:
+                if labels[u] == e.i and labels[v] == e.j:
+                    edges.add((min(u, v), max(u, v)))
+    else:
+        labels = {v: (e.new if lab == e.old else lab) for v, lab in labels.items()}
+    return names, edges, labels
+
+
+# redundant joins, joins on absent labels, Relabel(i, i), n-ary unions, and
+# names from a small pool so that some unions clash
+_eval_labels = st.integers(min_value=1, max_value=4)
+_eval_exprs_st = st.recursive(
+    st.builds(Intro, st.sampled_from([f"x{i}" for i in range(12)]), _eval_labels),
+    lambda inner: st.one_of(
+        st.builds(lambda cs: Union(tuple(cs)), st.lists(inner, min_size=2, max_size=4)),
+        st.builds(lambda i, d, c: Join(i, i + d, c), _eval_labels, st.integers(1, 3), inner),
+        st.builds(lambda i, c: Join(i, 9, Join(i, 9, c)), _eval_labels, inner),
+        st.builds(
+            lambda i, d, c: Join(i + d, i, Join(i, i + d, c)),
+            _eval_labels,
+            st.integers(1, 2),
+            inner,
+        ),
+        st.builds(lambda i, c: Relabel(i, i, c), _eval_labels, inner),
+        st.builds(Relabel, _eval_labels, _eval_labels, inner),
+    ),
+    max_leaves=16,
+)
+
+
 class TestEvaluate:
     def test_worked_three_label_example(self):
         lg = evaluate(parse(FIG_EXPR))
@@ -78,6 +127,31 @@ class TestEvaluate:
         base = evaluate(e).graph.edges
         wrapped = evaluate(Join(1, 2, e)).graph.edges
         assert base <= wrapped
+
+    @given(_eval_exprs_st)
+    def test_matches_pair_by_pair_reference(self, e):
+        try:
+            want = _reference_evaluate(e)
+        except DuplicateVertexError as exc:
+            with pytest.raises(DuplicateVertexError) as got:
+                evaluate(e)
+            assert got.value.name == exc.name
+            return
+        names, edges, labels = want
+        lg = evaluate(e)
+        assert lg.graph.vertex_set == names
+        assert lg.graph.edges == edges
+        assert lg.graph.m == len(edges)
+        assert lg.labels == labels
+
+    def test_duplicate_named_after_size_ordered_merge(self):
+        # the largest part absorbs the others, larger first, and the first
+        # clash names its smallest shared vertex: merging left to right
+        # would name 'a'
+        ab = Union(Intro("a", 1), Intro("b", 1), Intro("q", 1), Intro("r", 1))
+        e = Union(Intro("a", 2), Union(Intro("b", 2), Intro("c", 2)), ab)
+        with pytest.raises(DuplicateVertexError, match="'b'"):
+            evaluate(e)
 
     @given(exprs_st)
     def test_width_bounds_final_label_count(self, e):
@@ -200,6 +274,8 @@ class TestGrammar:
         assert Relabel(1, 2, e) != Relabel(1, 2, Relabel(1, 1, e))
         assert evaluate(e).graph.n == 1
         assert width(e) == 1
+        shown = repr(e)
+        assert shown.startswith("Relabel(1, 1, '(r 1 1 (r 1 1") and len(shown) < 100
 
 
 class TestSplitLabeled:

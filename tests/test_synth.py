@@ -318,23 +318,52 @@ class TestSynthesize:
         assert report.components[-1].tail
 
 
+def _check_at_scale(g: Graph) -> None:
+    # a dense unigraph with a deep expression: verification inside
+    # synthesize, structural == on the parsed text, both DP solvers
+    from unicwd import is_independent, parse, solve_mds, solve_mis, to_text
+
+    expr, report = synthesize(g)
+    assert report.total_width <= 5
+    assert parse(to_text(expr)) == expr
+    mis, mis_wit = solve_mis(expr)
+    assert len(mis_wit) == mis and is_independent(g, mis_wit)
+    mds, mds_wit = solve_mds(expr)
+    assert len(mds_wit) == mds
+    dominated = set(mds_wit).union(*(g.neighbors(v) for v in mds_wit))
+    assert dominated == g.vertex_set
+
+
 class TestScale:
     def test_n960_synthesize_round_trip_and_solvers(self):
-        # a dense unigraph with a deep expression: verification inside
-        # synthesize, structural == on the parsed text, both DP solvers
-        from unicwd import is_independent, parse, solve_mds, solve_mis, to_text
-
         g, _ = random_unigraph(11, 1000)
         assert (g.n, g.m) == (960, 383555)
-        expr, report = synthesize(g)
-        assert report.total_width <= 5
-        assert parse(to_text(expr)) == expr
-        mis, mis_wit = solve_mis(expr)
-        assert len(mis_wit) == mis and is_independent(g, mis_wit)
-        mds, mds_wit = solve_mds(expr)
-        assert len(mds_wit) == mds
-        dominated = set(mds_wit).union(*(g.neighbors(v) for v in mds_wit))
-        assert dominated == g.vertex_set
+        _check_at_scale(g)
+
+    def test_n2000_synthesize_round_trip_and_solvers(self):
+        g, _ = random_unigraph(13, 2000)
+        assert (g.n, g.m) == (2000, 880038)
+        _check_at_scale(g)
+
+    def test_synthesize_never_builds_the_edge_set(self, monkeypatch):
+        # recognition and verification work on neighbour sets only
+        reads = []
+        lazy = Graph.edges
+
+        def counted(g):
+            reads.append(g.n)
+            return lazy.fget(g)
+
+        # dense samples whose nonsplit cores match as a complement (U3) and
+        # as an identity (MK2)
+        samples = [random_unigraph(1, 300), random_unigraph(13, 300)]
+        assert [r.tail_match.variant for _, r in samples] == ["complement", "identity"]
+        monkeypatch.setattr(Graph, "edges", property(counted))
+        for g, _ in samples:
+            assert g.m > 100 * g.n
+            expr, _ = synthesize(g)
+            assert reads == []
+        assert evaluate(expr).graph.edges == g.edges and len(reads) == 2
 
 
 class TestTightnessProbes:
