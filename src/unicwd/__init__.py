@@ -14,7 +14,6 @@ from .graph import (
     GraphFormatError,
     SplittedGraph,
     complement,
-    connected_components,
     degree_sequence,
     disjoint_union,
     find_induced_p4,
@@ -83,13 +82,11 @@ from .catalog import (
     random_unigraph,
 )
 from .synth import (
-    NotCographError,
     NotUnigraphError,
     SynthesisError,
     SynthesisReport,
     glue_split,
     glue_tail,
-    synth_cograph,
     synth_nonsplit,
     synth_split,
     synthesize,

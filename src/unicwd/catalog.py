@@ -43,6 +43,7 @@ __all__ = [
     "FamilySpec",
     "K1Spec",
     "MK2Spec",
+    "NotUnigraphError",
     "RecognizedDecomposition",
     "S2Spec",
     "S3Spec",
@@ -224,6 +225,12 @@ class ComponentMatch:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "correspondence", dict(self.correspondence))
+
+
+class NotUnigraphError(ValueError):
+    def __init__(self, reason: str) -> None:
+        super().__init__(f"not a unigraph: {reason}")
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -653,16 +660,15 @@ def match_nonsplit_component(g: Graph) -> ComponentMatch | None:
 # recognition
 
 
-def _recognize(
-    g: Graph,
-) -> tuple[CanonicalDecomposition, tuple[ComponentMatch, ...] | None, ComponentMatch | None, str | None]:
-    """Decompose and match every piece; on failure, report which piece."""
+def _recognize(g: Graph) -> RecognizedDecomposition:
+    """Decompose and match every piece; raise NotUnigraphError naming the
+    first piece that matches no catalog family."""
     d = decompose(g)
     matches: list[ComponentMatch] = []
     for idx, comp in enumerate(d.components, start=1):
         m = match_split_component(comp)
         if m is None:
-            return d, None, None, f"split component {idx} matches no catalog family"
+            raise NotUnigraphError(f"split component {idx} matches no catalog family")
         matches.append(m)
     tail_match: ComponentMatch | None = None
     if d.tail is not None:
@@ -672,17 +678,16 @@ def _recognize(
         else:
             tail_match = match_nonsplit_component(d.tail)
             if tail_match is None:
-                return d, tuple(matches), None, "tail matches no catalog family"
-    return d, tuple(matches), tail_match, None
+                raise NotUnigraphError("tail matches no catalog family")
+    return RecognizedDecomposition(d, tuple(matches), tail_match)
 
 
 def is_unigraph(g: Graph) -> RecognizedDecomposition | None:
     """The recognized decomposition when ``g`` is a unigraph, else None."""
-    d, matches, tail_match, failure = _recognize(g)
-    if failure is not None:
+    try:
+        return _recognize(g)
+    except NotUnigraphError:
         return None
-    assert matches is not None
-    return RecognizedDecomposition(d, matches, tail_match)
 
 
 # ---------------------------------------------------------------------------

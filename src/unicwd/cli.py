@@ -15,9 +15,9 @@ import argparse
 import json
 import sys
 
-from .catalog import ComponentMatch, is_unigraph, random_unigraph
+from .catalog import ComponentMatch, havel_hakimi, is_unigraph, random_unigraph
 from .decomp import CanonicalDecomposition, decompose
-from .graph import Graph, GraphFormatError, read_edge_list, to_edge_list
+from .graph import Graph, GraphFormatError, degree_sequence, read_edge_list, to_edge_list
 from .kexpr import KExprSyntaxError, evaluate, parse, to_text, width
 from .solve import (
     SizeGuardError,
@@ -115,21 +115,14 @@ def _cmd_recognize(args) -> int:
         else:
             print("verdict: not-unigraph")
         return EXIT_NO
-    matches = list(rec.component_matches)
-    entries = []
-    for i, m in enumerate(matches, start=1):
-        entries.append((i, m, False))
+    entries = [(m, False) for m in rec.component_matches]
     if rec.tail_match is not None:
-        entries.append((len(matches) + 1, rec.tail_match, True))
+        entries.append((rec.tail_match, True))
     if args.json:
-        _emit_json(
-            {
-                "verdict": "unigraph",
-                "components": [_match_json(m, i, tail) for i, m, tail in entries],
-            }
-        )
+        components = [_match_json(m, i, tail) for i, (m, tail) in enumerate(entries, start=1)]
+        _emit_json({"verdict": "unigraph", "components": components})
     else:
-        for i, m, tail in entries:
+        for i, (m, tail) in enumerate(entries, start=1):
             suffix = " (tail)" if tail else ""
             print(
                 f"component {i}{suffix}: family={m.spec.family} "
@@ -268,9 +261,6 @@ def _cmd_oracle_cwd(args) -> int:
 
 
 def _cmd_oracle_unigraph(args) -> int:
-    from .graph import degree_sequence
-    from .catalog import havel_hakimi
-
     g = _load_graph(args.graph)
     seq = degree_sequence(g)
     verdict = oracle_unigraph(seq, max_n=args.max_n)
@@ -301,6 +291,18 @@ def _cmd_oracle_decomps(args) -> int:
                 print(f"  {line}")
         print(f"count: {len(decs)}")
     return EXIT_OK
+
+
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than ``lo``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -359,8 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = osub.add_parser("cwd", help="exact clique-width decision up to --max-k")
     p.add_argument("graph")
-    p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--max-k", type=_int_at_least(1), required=True)
+    p.add_argument("--budget", type=_int_at_least(0), default=2_000_000)
     p.add_argument("--max-n", type=int, default=None)
     add_json(p)
     p.set_defaults(func=_cmd_oracle_cwd)
@@ -380,10 +382,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)

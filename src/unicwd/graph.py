@@ -23,7 +23,6 @@ __all__ = [
     "GraphFormatError",
     "SplittedGraph",
     "complement",
-    "connected_components",
     "degree_sequence",
     "disjoint_union",
     "find_induced_p4",
@@ -205,25 +204,6 @@ def is_split_partition(g: Graph, a: Iterable[str], b: Iterable[str]) -> bool:
     if aset & bset or (aset | bset) != g.vertex_set:
         return False
     return is_clique(g, aset) and is_independent(g, bset)
-
-
-def connected_components(g: Graph) -> list[frozenset[str]]:
-    seen: set[str] = set()
-    comps = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
 
 
 def rename(g: Graph, mapping: Mapping[str, str]) -> Graph:

@@ -208,12 +208,6 @@ class LabeledGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", dict(self.labels))
 
-    def label_classes(self) -> dict[int, frozenset[str]]:
-        classes: dict[int, set[str]] = {}
-        for v, lab in self.labels.items():
-            classes.setdefault(lab, set()).add(v)
-        return {lab: frozenset(vs) for lab, vs in classes.items()}
-
 
 class DuplicateVertexError(ValueError):
     def __init__(self, name: str) -> None:

@@ -11,9 +11,9 @@ folds them back, so the whole pipeline never exceeds five labels.
 
 Synthesis reuses the input graph's vertex names (via the matched
 correspondences), so verification is exact edge-set equality. It happens
-once, at the boundary: ``synthesize`` evaluates the finished expression,
-and checks the pieces one by one only to name the broken one when that
-fails (or on request, with ``check_steps``).
+once, at the boundary: ``synthesize`` evaluates the finished expression.
+Only when that fails does it check each piece against the component that
+recognition returned for it, to name the broken one.
 """
 
 from __future__ import annotations
@@ -26,29 +26,18 @@ from .catalog import (
     ComponentMatch,
     K1Spec,
     MK2Spec,
+    NotUnigraphError,
     S2Spec,
     S3Spec,
     S4Spec,
     U2Spec,
     U3Spec,
-    apply_variant,
-    build_template,
     _recognize,
 )
-from .graph import (
-    Graph,
-    SplittedGraph,
-    complement,
-    connected_components,
-    find_induced_p4,
-    induced,
-    rename,
-    rename_splitted,
-)
-from .kexpr import Intro, Join, KExpr, Relabel, Union, evaluate, width
+from .graph import Graph, SplittedGraph
+from .kexpr import Intro, Join, KExpr, Relabel, Union, evaluate, is_split_labeled, width
 
 __all__ = [
-    "NotCographError",
     "NotUnigraphError",
     "SPLIT_WIDTH_BOUNDS",
     "NONSPLIT_WIDTH_BOUNDS",
@@ -57,24 +46,10 @@ __all__ = [
     "ComponentReport",
     "glue_split",
     "glue_tail",
-    "synth_cograph",
     "synth_nonsplit",
     "synth_split",
     "synthesize",
 ]
-
-
-class NotCographError(ValueError):
-    def __init__(self, witness: tuple[str, str, str, str] | None) -> None:
-        detail = f" (induced path {'-'.join(witness)})" if witness else ""
-        super().__init__(f"graph contains an induced P4, not a cograph{detail}")
-        self.witness = witness
-
-
-class NotUnigraphError(ValueError):
-    def __init__(self, reason: str) -> None:
-        super().__init__(f"not a unigraph: {reason}")
-        self.reason = reason
 
 
 class SynthesisError(RuntimeError):
@@ -175,29 +150,6 @@ def _clique_expr(names: list[str]) -> KExpr:
 
 
 # ---------------------------------------------------------------------------
-# cographs (two labels, all labels 1 afterwards)
-
-
-def synth_cograph(g: Graph) -> KExpr:
-    """A width-<=2 expression for a P4-free graph, all labels 1 at the end."""
-    if g.n == 0:
-        raise ValueError("cannot synthesize an expression for the empty graph")
-
-    def rec(h: Graph) -> KExpr:
-        if h.n == 1:
-            return Intro(h.vertices[0], 1)
-        comps = connected_components(h)
-        if len(comps) > 1:
-            return Union(tuple(rec(induced(h, c)) for c in sorted(comps, key=sorted)))
-        cocomps = connected_components(complement(h))
-        if len(cocomps) == 1:
-            raise NotCographError(find_induced_p4(h) if h.n <= 60 else None)
-        return _join_all([rec(induced(h, c)) for c in sorted(cocomps, key=sorted)])
-
-    return rec(g)
-
-
-# ---------------------------------------------------------------------------
 # split families
 
 
@@ -274,12 +226,8 @@ def _stars(sizes: list[int], corr, offset: int = 0) -> list[tuple[str, list[str]
     ]
 
 
-def synth_split(match: ComponentMatch, check_steps: bool = False) -> KExpr:
-    """Split-labeled expression for a matched split component.
-
-    With ``check_steps`` the piece is checked against its template and its
-    width bound, raising SynthesisError when either fails.
-    """
+def synth_split(match: ComponentMatch) -> KExpr:
+    """Split-labeled expression for a matched split component."""
     spec, variant, corr = match.spec, match.variant, match.correspondence
     if isinstance(spec, K1Spec):
         # inverse and complement swap the two sides, their composition does not
@@ -297,8 +245,6 @@ def synth_split(match: ComponentMatch, check_steps: bool = False) -> KExpr:
         expr = _s4_expr(small, big, corr["v"], corr["u"], variant)
     else:
         raise ValueError(f"{spec.family} is not a split catalog family")
-    if check_steps:
-        _check_piece(expr, match)
     return expr
 
 
@@ -399,66 +345,54 @@ def glue_tail(s: KExpr, tail: KExpr) -> KExpr:
 
 
 def _check_piece(
-    expr: KExpr, match: ComponentMatch, index: int | None = None, tail: bool = False
+    index: int, expr: KExpr, match: ComponentMatch, component: SplittedGraph | Graph
 ) -> None:
-    """Raise SynthesisError unless ``expr`` labels its component exactly
-    (split labels, or all 1 for a tail) within the family's width bound."""
-    spec, variant, corr = match.spec, match.variant, match.correspondence
-    target = apply_variant(build_template(spec), variant)
-    if isinstance(target, SplittedGraph):
-        target = rename_splitted(target, corr)
-        graph, ones = target.graph, target.clique_part
+    """Raise SynthesisError unless ``expr`` evaluates to its recognized
+    ``component`` (split-labeled for a split component, all labels 1 for the
+    tail) within the family's width bound."""
+    family, variant = match.spec.family, match.variant
+    if isinstance(component, SplittedGraph):
+        exact, bound = is_split_labeled(expr, component), SPLIT_WIDTH_BOUNDS[family][variant]
     else:
-        graph = rename(target, corr)
-        ones = graph.vertex_set
-    if tail:
-        ones, bound = graph.vertex_set, NONSPLIT_WIDTH_BOUNDS[spec.family]
-    else:
-        bound = SPLIT_WIDTH_BOUNDS[spec.family][variant]
-    result = evaluate(expr)
-    if result.graph != graph:
-        raise SynthesisError("expression does not evaluate to the component", index, match)
-    if any(lab != (1 if v in ones else 2) for v, lab in result.labels.items()):
-        raise SynthesisError("expression labels the component wrongly", index, match)
+        result = evaluate(expr)
+        exact = result.graph == component and all(lab == 1 for lab in result.labels.values())
+        bound = NONSPLIT_WIDTH_BOUNDS[family]
+    if not exact:
+        raise SynthesisError("expression does not evaluate to the labeled component", index, match)
     if width(expr) > bound:
         raise SynthesisError(f"expression exceeds width {bound}", index, match)
 
 
-def synthesize(g: Graph, check_steps: bool = False) -> tuple[KExpr, SynthesisReport]:
+def synthesize(g: Graph) -> tuple[KExpr, SynthesisReport]:
     """Build a width-<=5 expression that evaluates exactly to ``g``.
 
     Recognizes the graph, synthesizes every component, glues innermost
     outward and verifies the result by exact edge-set equality before
     returning. Raises NotUnigraphError when recognition fails and
-    SynthesisError, naming the broken component, when verification fails;
-    ``check_steps`` checks every piece before gluing as well.
+    SynthesisError when verification fails, naming the first piece that
+    does not evaluate to its recognized component within its width bound.
     """
     if g.n == 0:
         raise ValueError("cannot synthesize an expression for the empty graph")
-    _, matches, tail_match, failure = _recognize(g)
-    if failure is not None:
-        raise NotUnigraphError(failure)
-    pieces = [(synth_split(m), m, False) for m in matches]
-    if tail_match is not None:
-        pieces.append((synth_nonsplit(tail_match), tail_match, True))
-
-    def check_pieces() -> None:
-        for index, (piece, m, tail) in enumerate(pieces, start=1):
-            _check_piece(piece, m, index, tail)
-
-    if check_steps:
-        check_pieces()
-    split = [piece for piece, _, tail in pieces if not tail]
+    rec = _recognize(g)
+    split = [synth_split(m) for m in rec.component_matches]
+    pieces = list(zip(split, rec.component_matches, rec.decomposition.components))
     acc = reduce(glue_split, split) if split else None
-    if tail_match is None:
+    if rec.tail_match is None:
         expr = Relabel(2, 1, acc)
     else:
-        expr = pieces[-1][0] if acc is None else glue_tail(acc, pieces[-1][0])
+        tail = synth_nonsplit(rec.tail_match)
+        pieces.append((tail, rec.tail_match, rec.decomposition.tail))
+        expr = tail if acc is None else glue_tail(acc, tail)
 
     result = evaluate(expr)
     total = width(expr)
     if result.graph != g or any(lab != 1 for lab in result.labels.values()) or total > 5:
-        check_pieces()
+        for index, piece in enumerate(pieces, start=1):
+            _check_piece(index, *piece)
         raise SynthesisError(f"glued expression of width {total} is not the input all labeled 1")
-    reports = (ComponentReport(m.spec.family, m.variant, width(p), tail) for p, m, tail in pieces)
+    reports = (
+        ComponentReport(m.spec.family, m.variant, width(p), isinstance(component, Graph))
+        for p, m, component in pieces
+    )
     return expr, SynthesisReport(total_width=total, components=tuple(reports))

@@ -51,6 +51,18 @@ class TestRecognize:
         assert data["components"][0]["params"] == {"m": 1}
 
 
+def test_successive_calls_share_no_state(capsys, u3_file):
+    # one parser serves every in-process call
+    code, out, _ = run(capsys, "recognize", "--json", u3_file)
+    assert code == 0 and json.loads(out)["verdict"] == "unigraph"
+    code, out, _ = run(capsys, "recognize", u3_file)
+    assert code == 0 and out.endswith("verdict: unigraph\n") and "{" not in out
+    code, out, err = run(capsys, "recognize")
+    assert code == 2 and out == "" and "error:" in err
+    code, out, err = run(capsys, "recognize", u3_file)
+    assert code == 0 and "family=U3" in out and err == ""
+
+
 class TestDecompose:
     def test_text_format(self, capsys, tmp_path):
         from unicwd import SplittedGraph, Graph, compose
@@ -127,12 +139,12 @@ class TestSynthesizeEvalCheck:
     def test_unexpected_exception_exit_4(self, capsys, tmp_path, monkeypatch):
         import unicwd.cli
 
-        def broken(args):
+        def broken(g):
             raise KeyError("lost")
 
         p = tmp_path / "c5.el"
         p.write_text(to_edge_list(cycle_graph(*"abcde")))
-        monkeypatch.setattr(unicwd.cli, "_cmd_recognize", broken)
+        monkeypatch.setattr(unicwd.cli, "is_unigraph", broken)
         code, out, err = run(capsys, "recognize", str(p))
         assert code == 4
         assert out == ""
@@ -255,6 +267,27 @@ class TestOracleCommands:
         )
         assert code == 0
         assert out.startswith("cwd(g) in [")
+
+    @pytest.mark.parametrize(
+        "bounds, flag",
+        [
+            (["--max-k", "0"], "--max-k"),
+            (["--max-k", "-3", "--json"], "--max-k"),
+            (["--max-k", "3", "--budget", "-1"], "--budget"),
+        ],
+    )
+    def test_cwd_rejects_meaningless_bounds(self, capsys, u3_file, bounds, flag):
+        code, out, err = run(capsys, "oracle", "cwd", *bounds, u3_file)
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: must be at least" in errors[0]
+
+    def test_cwd_smallest_bounds_accepted(self, capsys, u3_file):
+        code, out, _ = run(
+            capsys, "oracle", "cwd", "--max-k", "1", "--budget", "0", "--json", u3_file
+        )
+        assert code == 0
+        assert json.loads(out) == {"exact": None, "hi": None, "lo": 1, "max_k": 1}
 
     def test_unigraph_verdicts(self, capsys, u3_file, non_unigraph_file):
         code, out, _ = run(capsys, "oracle", "unigraph", u3_file)

@@ -2,24 +2,18 @@
 
 import pytest
 
-from helpers import (
-    G,
-    complete_graph,
-    cycle_graph,
-    matching_graph,
-    path_graph,
-    star_graph,
-)
+from helpers import G, complete_graph, cycle_graph, path_graph
 from unicwd import (
     C5Spec,
     ComponentMatch,
     DuplicateVertexError,
     Graph,
     Intro,
+    Join,
     K1Spec,
     MK2Spec,
-    NotCographError,
     NotUnigraphError,
+    Relabel,
     S2Spec,
     S3Spec,
     S4Spec,
@@ -39,12 +33,12 @@ from unicwd import (
     glue_split,
     glue_tail,
     is_split_labeled,
+    is_unigraph,
     match_nonsplit_component,
     match_split_component,
     random_unigraph,
     rename,
     rename_splitted,
-    synth_cograph,
     synth_nonsplit,
     synth_split,
     synthesize,
@@ -57,38 +51,6 @@ def check_all_ones(expr, graph):
     lg = evaluate(expr)
     assert lg.graph == graph
     assert set(lg.labels.values()) <= {1}
-
-
-class TestCograph:
-    def test_matching(self):
-        g = matching_graph(("a1", "b1"), ("a2", "b2"), ("a3", "b3"))
-        e = synth_cograph(g)
-        check_all_ones(e, g)
-        assert width(e) <= 2
-
-    def test_u2_shape(self):
-        g = disjoint_union(
-            matching_graph(("a1", "b1"), ("a2", "b2")), star_graph("c", "l1", "l2", "l3")
-        )
-        e = synth_cograph(g)
-        check_all_ones(e, g)
-        assert width(e) <= 2
-
-    def test_single_vertex(self):
-        e = synth_cograph(G(["x"]))
-        check_all_ones(e, G(["x"]))
-        assert width(e) == 1
-
-    def test_complement_of_matching(self):
-        g = complement(matching_graph(("a1", "b1"), ("a2", "b2"), ("a3", "b3")))
-        e = synth_cograph(g)
-        check_all_ones(e, g)
-        assert width(e) <= 2
-
-    def test_p4_rejected_with_witness(self):
-        with pytest.raises(NotCographError) as exc:
-            synth_cograph(path_graph("a", "b", "c", "d"))
-        assert exc.value.witness is not None
 
 
 class TestNonsplit:
@@ -156,7 +118,7 @@ class TestSplitFamilies:
         comp = rename_splitted(comp, {v: f"n_{v}" for v in comp.graph.vertices})
         m = match_split_component(comp)
         assert m is not None
-        expr = synth_split(m, check_steps=True)
+        expr = synth_split(m)
         assert is_split_labeled(expr, comp)
         assert width(expr) <= SPLIT_WIDTH_BOUNDS[m.spec.family][m.variant]
 
@@ -239,7 +201,7 @@ class TestGluing:
     def test_tail_glue_isolated(self):
         s = synth_split(ComponentMatch(K1Spec("independent"), "identity", {"a": "z"}))
         k2 = complete_graph("x", "y")
-        tail = synth_cograph(k2)
+        tail = Relabel(2, 1, Join(1, 2, Union(Intro("x", 1), Intro("y", 2))))
         e = glue_tail(s, tail)
         check_all_ones(e, disjoint_union(G(["z"]), k2))
 
@@ -256,6 +218,12 @@ class TestSynthesize:
         with pytest.raises(NotUnigraphError, match="tail"):
             synthesize(g)
 
+    def test_not_unigraph_in_a_split_component(self):
+        g = G("abcdef", [tuple(e) for e in "ab ac ae af bd bf ef".split()])
+        with pytest.raises(NotUnigraphError, match="split component 1 matches no catalog family"):
+            synthesize(g)
+        assert is_unigraph(g) is None
+
     def test_complement_s4_component_reports_width_5(self):
         comp = apply_variant(build_template(S4Spec(1, 1)), "complement")
         expr, report = synthesize(comp.graph)
@@ -267,9 +235,19 @@ class TestSynthesize:
     def test_random_samples(self):
         for seed in range(150):
             g, _ = random_unigraph(seed + 300, 3 + (seed % 38))
-            expr, report = synthesize(g, check_steps=(g.n <= 15))
+            expr, report = synthesize(g)
             assert report.total_width <= 5
             check_all_ones(expr, g)
+            # every piece, on its own, against the component recognition returned
+            d = is_unigraph(g)
+            for m, comp in zip(d.component_matches, d.decomposition.components):
+                piece = synth_split(m)
+                assert is_split_labeled(piece, comp)
+                assert width(piece) <= SPLIT_WIDTH_BOUNDS[m.spec.family][m.variant]
+            if d.tail_match is not None:
+                tail = synth_nonsplit(d.tail_match)
+                check_all_ones(tail, d.decomposition.tail)
+                assert width(tail) <= NONSPLIT_WIDTH_BOUNDS[d.tail_match.spec.family]
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="empty graph"):
@@ -293,7 +271,7 @@ class TestSynthesize:
 
         monkeypatch.setattr(unicwd.kexpr, "evaluate", counting)
         monkeypatch.setattr(unicwd.synth, "evaluate", counting)
-        expr, _ = synthesize(g, check_steps=False)
+        expr, _ = synthesize(g)
         assert len(calls) == 1 and calls[0] is expr
 
     def test_broken_piece_is_named(self, monkeypatch):
@@ -306,6 +284,22 @@ class TestSynthesize:
         with pytest.raises(SynthesisError, match=r"component 2 \(C5/identity\)") as exc:
             synthesize(g)
         assert exc.value.component == 2
+
+    def test_broken_split_piece_is_named(self, monkeypatch):
+        import unicwd.synth
+
+        g = compose(build_template(S2Spec(((2, 1), (1, 1)))), cycle_graph(*"abcde"))
+        original = unicwd.synth._star_split_expr
+
+        def mislabeled(center, leaves, variant):
+            # the one leaf of the second star lands on the clique label
+            expr = original(center, leaves, variant)
+            return Relabel(2, 1, expr) if center == "c2" else expr
+
+        monkeypatch.setattr(unicwd.synth, "_star_split_expr", mislabeled)
+        with pytest.raises(SynthesisError, match=r"component 1 \(S2/identity\)") as exc:
+            synthesize(g)
+        assert exc.value.component == 1
 
     def test_report_shape(self):
         g = compose(
