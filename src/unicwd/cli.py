@@ -208,6 +208,11 @@ def _cmd_check(args) -> int:
     return EXIT_OK if equal else EXIT_NO
 
 
+# each problem's solver and the largest width it accepts: the DP keeps up to
+# 2^k label states for mis and vc, but up to 4^k for ds
+_SOLVERS = {"mis": (solve_mis, 12), "vc": (solve_vc, 12), "ds": (solve_mds, 8)}
+
+
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     if args.expr:
@@ -216,9 +221,11 @@ def _cmd_solve(args) -> int:
             raise ValueError("expression does not evaluate to the given graph")
     else:
         expr, _ = synthesize(g)
-    solver = {"mis": solve_mis, "vc": solve_vc, "ds": solve_mds}[args.problem]
-    if width(expr) > 12:
-        raise SizeGuardError("solve", width(expr), 12)
+    solver, max_width = _SOLVERS[args.problem]
+    if width(expr) > max_width:
+        raise SizeGuardError(
+            f"solve --problem {args.problem}", width(expr), max_width, hint="size is the expression's width"
+        )
     value, witness = solver(expr)
     if args.json:
         _emit_json({"problem": args.problem, "value": value, "witness": sorted(witness)})

@@ -83,11 +83,10 @@ def compose(s: SplittedGraph, h: Graph) -> Graph:
     clash = s.graph.vertex_set & h.vertex_set
     if clash:
         raise ValueError(f"vertex name collision: {sorted(clash)[0]!r}")
-    edges = list(s.graph.edges) + list(h.edges)
-    for a in s.clique_part:
-        for v in h.vertices:
-            edges.append((a, v))
-    return Graph(s.graph.vertices + h.vertices, edges)
+    g, a, inner = s.graph, s.clique_part, h.vertex_set
+    adj = {v: g.neighbors(v) | inner if v in a else g.neighbors(v) for v in g.vertices}
+    adj.update((v, h.neighbors(v) | a) for v in h.vertices)
+    return Graph._from_adjacency(adj)
 
 
 def compose_splitted(s1: SplittedGraph, s2: SplittedGraph) -> SplittedGraph:

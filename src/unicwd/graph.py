@@ -3,7 +3,7 @@
 Everything in this package is built on top of this module: a graph is a
 sorted tuple of opaque string vertex names plus one frozen neighbour set per
 vertex. The neighbour map is the only stored form; the undirected edge set is
-derived from it the first time something reads ``edges``. Vertex identity is
+built from it afresh each time something reads ``edges``. Vertex identity is
 preserved by every transform, which lets the synthesis layer verify its
 output by exact equality with its input instead of isomorphism. All values
 are immutable after construction and safe to share.
@@ -55,13 +55,15 @@ class Graph:
     Vertices are opaque string names; the file formats take only the names
     that ``_name_error`` accepts (no whitespace, brackets or '#', and not
     ``vertex``), and their writers raise on any other. The neighbour map is
-    authoritative: equality compares it, and ``edges`` (sorted pairs) and
-    ``m`` are derived from it on first use and cached. No self-loops, no
-    duplicate edges; connectivity is not required (several catalog graphs
-    are disconnected).
+    authoritative: equality compares it, ``m`` is derived from it on first
+    use and cached, and ``edges`` (sorted pairs) is a new frozenset built
+    from it on every read and never stored, so a long-lived graph holds no
+    edge tuples for the garbage collector to walk; read it once per use.
+    No self-loops, no duplicate edges; connectivity is not required
+    (several catalog graphs are disconnected).
     """
 
-    __slots__ = ("_vertices", "_vset", "_adj", "_edges", "_m", "_hash")
+    __slots__ = ("_vertices", "_vset", "_adj", "_m", "_hash")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> None:
         vs = tuple(sorted(set(vertices)))
@@ -79,7 +81,6 @@ class Graph:
         self._vertices = vs
         self._vset = vset
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
-        self._edges: frozenset[Edge] | None = None
         self._m: int | None = None
         self._hash: int | None = None
 
@@ -87,15 +88,14 @@ class Graph:
     def _from_adjacency(cls, adj: dict[str, frozenset[str]]) -> "Graph":
         """A graph from a symmetric, loop-free neighbour map over its own keys.
 
-        Unchecked: the callers derive the map from another graph's
-        adjacency (``induced``, ``complement``, ``rename``) or from an
-        expression (``kexpr.evaluate``).
+        Unchecked: the callers derive the map from other graphs'
+        adjacency (``induced``, ``complement``, ``rename``,
+        ``decomp.compose``) or from an expression (``kexpr.evaluate``).
         """
         g = cls.__new__(cls)
         g._vertices = tuple(sorted(adj))
         g._vset = frozenset(adj)
         g._adj = adj
-        g._edges = None
         g._m = None
         g._hash = None
         return g
@@ -110,9 +110,7 @@ class Graph:
 
     @property
     def edges(self) -> frozenset[Edge]:
-        if self._edges is None:
-            self._edges = frozenset((u, v) for u, ns in self._adj.items() for v in ns if u < v)
-        return self._edges
+        return frozenset((u, v) for u, ns in self._adj.items() for v in ns if u < v)
 
     @property
     def n(self) -> int:

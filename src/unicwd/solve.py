@@ -3,8 +3,9 @@
 The solvers exploit that same-label vertices are interchangeable for all
 future operations: maximum independent set tracks which labels the chosen
 set occupies, minimum dominating set tracks a (has-selected,
-has-undominated) flag pair per label. Both are exponential only in the
-number of labels.
+has-undominated) flag pair per label, each coded as bits of one integer.
+Both are exponential only in the number of labels and linear in the size
+of the expression.
 
 The oracles certify the rest of the package at desk scale: exact
 clique-width decision by reachability over label-partition states,
@@ -28,7 +29,7 @@ from .graph import (
     is_isomorphic,
     splitted_isomorphic,
 )
-from .kexpr import Intro, Join, KExpr, Relabel, Union, fold_expr, vertex_names
+from .kexpr import KExpr, Union, fold_expr, labels_of, vertex_names
 
 __all__ = [
     "SizeGuardError",
@@ -47,8 +48,8 @@ _ENV_MAX_N = "UNICWD_MAX_ORACLE_N"
 
 
 class SizeGuardError(RuntimeError):
-    def __init__(self, what: str, n: int, limit: int) -> None:
-        super().__init__(f"{what}: size {n} exceeds the guard {limit} (set {_ENV_MAX_N} to raise it)")
+    def __init__(self, what: str, n: int, limit: int, hint: str = f"set {_ENV_MAX_N} to raise it") -> None:
+        super().__init__(f"{what}: size {n} exceeds the guard {limit} ({hint})")
 
 
 def _guard(what: str, n: int, max_n: int | None, default: int) -> None:
@@ -60,56 +61,109 @@ def _guard(what: str, n: int, max_n: int | None, default: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# independent set / vertex cover DP
+# the DP solvers
+#
+# Labels are first compacted to 0..k-1 (a .kx file may use label 10^9), so a
+# state is a small int. Every state maps to (cost, witness) with the cost
+# minimized. The witness is a cons cell: None, a vertex name, or a pair of two
+# child witnesses, so a union links two witnesses in O(1) and only the winner
+# is flattened, at the root. An entry is replaced only on a strict
+# improvement, so a tie keeps the one found first in the fold's postorder.
+
+
+def _union(_: Union, parts: list[dict]) -> dict:
+    """Product of the children's states: keys OR together, costs add."""
+    acc = parts[0]
+    for part in parts[1:]:
+        merged: dict = {}
+        get = merged.get
+        for s1, (c1, w1) in acc.items():
+            for s2, (c2, w2) in part.items():
+                key, cost = s1 | s2, c1 + c2
+                cur = get(key)
+                if cur is None or cost < cur[0]:
+                    merged[key] = (cost, w2 if w1 is None else w1 if w2 is None else (w1, w2))
+        acc = merged
+    return acc
+
+
+def _remap(state: dict, f) -> dict:
+    """Move every state to ``f(key)``; a key mapped to None is dropped."""
+    out: dict = {}
+    for key, val in state.items():
+        new = f(key)
+        if new is not None:
+            cur = out.get(new)
+            if cur is None or val[0] < cur[0]:
+                out[new] = val
+    return out
+
+
+def _fold_states(e: KExpr, intro, join, relabel) -> tuple[dict, int]:
+    """The root's states and the width k, folding ``e`` with callbacks on
+    label indices 0..k-1: ``intro(label, name)`` gives a leaf's states, and
+    ``join(i, j)`` and ``relabel(old, new)`` give a key map for ``_remap``."""
+    index = {lab: i for i, lab in enumerate(sorted(labels_of(e)))}
+    states = fold_expr(
+        e,
+        lambda node: intro(index[node.label], node.name),
+        _union,
+        lambda node, state: _remap(state, join(index[node.i], index[node.j])),
+        lambda node, state: (
+            state if node.old == node.new
+            else _remap(state, relabel(index[node.old], index[node.new]))
+        ),
+    )
+    return states, len(index)
+
+
+def _best(states: dict, forbidden: int = 0):
+    """The first minimum-cost (cost, witness) over the states with no
+    ``forbidden`` bit."""
+    best = None
+    for key, val in states.items():
+        if not key & forbidden and (best is None or val[0] < best[0]):
+            best = val
+    return best
+
+
+def _flatten(w) -> frozenset[str]:
+    names: list[str] = []
+    stack = [w]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            stack.extend(x)
+        elif x is not None:
+            names.append(x)
+    return frozenset(names)
 
 
 def solve_mis(e: KExpr) -> tuple[int, frozenset[str]]:
     """Maximum independent set of the evaluation of ``e``.
 
-    States are keyed by the set of labels the chosen vertices currently
-    occupy; a join kills every state occupying both joined labels.
+    A state is the bitmask of the (compacted) labels the chosen vertices
+    occupy: bit l is set when label l holds a chosen vertex. A union ORs
+    the masks, a join kills every state holding both joined labels, and a
+    relabel moves bit ``old`` onto bit ``new``. The cost of a state is the
+    number of vertices left out. Among maximum sets, the one found first in
+    the fold's postorder is returned, deterministic per expression.
     """
-    State = dict  # frozenset[int] -> (size, witness)
 
-    def better(a: tuple[int, frozenset[str]], b: tuple[int, frozenset[str]]) -> tuple[int, frozenset[str]]:
-        if a[0] != b[0]:
-            return a if a[0] > b[0] else b
-        return a if tuple(sorted(a[1])) <= tuple(sorted(b[1])) else b
+    def intro(lab: int, name: str) -> dict:
+        return {0: (1, None), 1 << lab: (0, name)}
 
-    def on_intro(node: Intro) -> State:
-        return {
-            frozenset(): (0, frozenset()),
-            frozenset({node.label}): (1, frozenset({node.name})),
-        }
+    def join(i: int, j: int):
+        both = (1 << i) | (1 << j)
+        return lambda key: None if key & both == both else key
 
-    def on_union(_: Union, parts: list[State]) -> State:
-        acc = parts[0]
-        for part in parts[1:]:
-            merged: State = {}
-            for s1, (n1, w1) in acc.items():
-                for s2, (n2, w2) in part.items():
-                    key = s1 | s2
-                    cand = (n1 + n2, w1 | w2)
-                    merged[key] = cand if key not in merged else better(merged[key], cand)
-            acc = merged
-        return acc
+    def relabel(old: int, new: int):
+        bo, bn = 1 << old, 1 << new
+        return lambda key: (key ^ bo) | bn if key & bo else key
 
-    def on_join(node: Join, state: State) -> State:
-        bad = {node.i, node.j}
-        return {k: v for k, v in state.items() if not bad <= k}
-
-    def on_relabel(node: Relabel, state: State) -> State:
-        out: State = {}
-        for k, v in state.items():
-            key = (k - {node.old}) | {node.new} if node.old in k else k
-            out[key] = v if key not in out else better(out[key], v)
-        return out
-
-    states = fold_expr(e, on_intro, on_union, on_join, on_relabel)
-    best = (0, frozenset())
-    for v in states.values():
-        best = better(best, v)
-    return best
+    states, _ = _fold_states(e, intro, join, relabel)
+    witness = _flatten(_best(states)[1])
+    return len(witness), witness
 
 
 def solve_vc(e: KExpr) -> tuple[int, frozenset[str]]:
@@ -119,89 +173,43 @@ def solve_vc(e: KExpr) -> tuple[int, frozenset[str]]:
     return len(names) - size, names - witness
 
 
-# ---------------------------------------------------------------------------
-# dominating set DP
-
-
 def solve_mds(e: KExpr) -> tuple[int, frozenset[str]]:
-    """Minimum dominating set via per-label (selected, undominated) flags.
+    """Minimum dominating set via two bits per (compacted) label.
 
-    A label with neither flag set carries no information and is dropped
-    from the signature, which keeps the state space small.
+    Bit 2l (``sel``) is set when label l holds a selected vertex, bit 2l+1
+    (``und``) when it holds a vertex not yet dominated; a label with neither
+    bit carries no information. A union ORs the states; ``Join(i, j)``
+    clears ``und(j)`` when ``sel(i)`` is set, and the mirror; a relabel
+    moves both bits of ``old`` onto ``new`` with an OR. The final states
+    are those with no ``und`` bit. Among minimum sets, the one found first
+    in the fold's postorder is returned, deterministic per expression.
+    There are up to 4^k states, so ``unicwd solve --problem ds`` refuses
+    expressions wider than 8 labels.
     """
-    Sig = frozenset  # of (label, selected, has_undominated)
 
-    def norm(flags: dict[int, tuple[bool, bool]]) -> frozenset:
-        return frozenset(
-            (lab, sel, und) for lab, (sel, und) in flags.items() if sel or und
-        )
+    def intro(lab: int, name: str) -> dict:
+        return {1 << 2 * lab: (1, name), 2 << 2 * lab: (0, None)}
 
-    def to_flags(sig: frozenset) -> dict[int, tuple[bool, bool]]:
-        return {lab: (sel, und) for lab, sel, und in sig}
+    def join(i: int, j: int):
+        si, ui, sj, uj = 1 << 2 * i, 2 << 2 * i, 1 << 2 * j, 2 << 2 * j
 
-    def better(a, b):
-        if a[0] != b[0]:
-            return a if a[0] < b[0] else b
-        return a if tuple(sorted(a[1])) <= tuple(sorted(b[1])) else b
+        def f(key: int) -> int:
+            if key & si:
+                key &= ~uj
+            if key & sj:
+                key &= ~ui
+            return key
 
-    def on_intro(node: Intro):
-        return {
-            norm({node.label: (True, False)}): (1, frozenset({node.name})),
-            norm({node.label: (False, True)}): (0, frozenset()),
-        }
+        return f
 
-    def on_union(_: Union, parts):
-        acc = parts[0]
-        for part in parts[1:]:
-            merged = {}
-            for s1, (c1, w1) in acc.items():
-                f1 = to_flags(s1)
-                for s2, (c2, w2) in part.items():
-                    flags = dict(f1)
-                    for lab, (sel, und) in to_flags(s2).items():
-                        old = flags.get(lab, (False, False))
-                        flags[lab] = (old[0] or sel, old[1] or und)
-                    key = norm(flags)
-                    cand = (c1 + c2, w1 | w2)
-                    merged[key] = cand if key not in merged else better(merged[key], cand)
-            acc = merged
-        return acc
+    def relabel(old: int, new: int):
+        shift_old, shift_new = 2 * old, 2 * new
+        mask = 3 << shift_old
+        return lambda key: (key ^ (key & mask)) | ((key & mask) >> shift_old << shift_new)
 
-    def on_join(node: Join, state):
-        out = {}
-        for sig, val in state.items():
-            flags = to_flags(sig)
-            sel_i = flags.get(node.i, (False, False))[0]
-            sel_j = flags.get(node.j, (False, False))[0]
-            if sel_i and node.j in flags:
-                flags[node.j] = (flags[node.j][0], False)
-            if sel_j and node.i in flags:
-                flags[node.i] = (flags[node.i][0], False)
-            key = norm(flags)
-            out[key] = val if key not in out else better(out[key], val)
-        return out
-
-    def on_relabel(node: Relabel, state):
-        out = {}
-        for sig, val in state.items():
-            flags = to_flags(sig)
-            if node.old in flags and node.old != node.new:
-                sel, und = flags.pop(node.old)
-                old = flags.get(node.new, (False, False))
-                flags[node.new] = (old[0] or sel, old[1] or und)
-            key = norm(flags)
-            out[key] = val if key not in out else better(out[key], val)
-        return out
-
-    states = fold_expr(e, on_intro, on_union, on_join, on_relabel)
-    best = None
-    for sig, val in states.items():
-        if any(und for _, _, und in sig):
-            continue
-        best = val if best is None else better(best, val)
-    if best is None:
-        raise ValueError("no dominating set found (empty expression?)")
-    return best
+    states, k = _fold_states(e, intro, join, relabel)
+    cost, witness = _best(states, sum(2 << 2 * lab for lab in range(k)))
+    return cost, _flatten(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -529,37 +537,40 @@ def enumerate_decompositions(g: Graph, max_n: int | None = None) -> list[Canonic
     """All maximal decompositions into indecomposable pieces, deduplicated.
 
     Explores every top split whose component is indecomposable as a
-    splitted graph, at every level. The decomposition is unique up to
-    component isomorphism, so a single result is expected.
+    splitted graph, at every level. The decompositions of each remaining
+    vertex set are found once and deduplicated there, so interchangeable
+    splits peeled in either order share their work. The decomposition is
+    unique up to component isomorphism, so a single result is expected.
     """
     _guard("enumerate_decompositions", g.n, max_n, default=10)
-    results: list[CanonicalDecomposition] = []
+    memo: dict[frozenset[str], list[CanonicalDecomposition]] = {}
 
-    def emit(candidate: CanonicalDecomposition) -> None:
-        if not any(decompositions_equivalent(candidate, r) for r in results):
-            results.append(candidate)
+    def rec(h: Graph) -> list[CanonicalDecomposition]:
+        if h.vertex_set in memo:
+            return memo[h.vertex_set]
+        found = memo[h.vertex_set] = []
 
-    def rec(h: Graph, acc: tuple[SplittedGraph, ...]) -> None:
-        if h.n == 0:
-            emit(CanonicalDecomposition(acc, None))
-            return
-        if h.n == 1:
-            emit(CanonicalDecomposition(acc, h))
-            return
+        def emit(candidate: CanonicalDecomposition) -> None:
+            if not any(decompositions_equivalent(candidate, r) for r in found):
+                found.append(candidate)
+
+        if h.n <= 1:
+            emit(CanonicalDecomposition((), h if h.n else None))
+            return found
         splits = list(_all_top_splits(h))
         if not splits:
             bips = list(_all_split_bipartitions(h))
-            if bips:
-                for a, b in bips:
-                    emit(CanonicalDecomposition(acc + (SplittedGraph(h, a, b),), None))
-            else:
-                emit(CanonicalDecomposition(acc, h))
-            return
+            for a, b in bips:
+                emit(CanonicalDecomposition((SplittedGraph(h, a, b),), None))
+            if not bips:
+                emit(CanonicalDecomposition((), h))
+            return found
         for a, b, rest in splits:
             comp = SplittedGraph(induced(h, a | b), a, b)
             if splitted_decomposable(comp):
                 continue
-            rec(induced(h, rest), acc + (comp,))
+            for d in rec(induced(h, rest)):
+                emit(CanonicalDecomposition((comp, *d.components), d.tail))
+        return found
 
-    rec(g, ())
-    return results
+    return rec(g)

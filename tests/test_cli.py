@@ -225,6 +225,31 @@ class TestSolve:
         assert code == 1
         assert "not a unigraph" in err
 
+    @staticmethod
+    def labels_apart(tmp_path, k):
+        """Graph and expression files: k vertices on k labels, one edge v1-v2."""
+        names = [f"v{i}" for i in range(1, k + 1)]
+        graph = tmp_path / f"w{k}.el"
+        graph.write_text(f"{k} 1\n" + "".join(f"vertex {v}\n" for v in names) + "v1 v2\n")
+        expr = tmp_path / f"w{k}.kx"
+        expr.write_text("(j 1 2 (u " + " ".join(f"(v {v} {i})" for i, v in enumerate(names, 1)) + "))\n")
+        return str(graph), str(expr)
+
+    def test_ds_refused_above_width_8(self, capsys, tmp_path):
+        graph, expr = self.labels_apart(tmp_path, 9)
+        code, out, err = run(capsys, "solve", "--problem", "ds", graph, "--expr", expr)
+        assert code == 3 and out == ""
+        assert err.strip() == "error: solve --problem ds: size 9 exceeds the guard 8 (size is the expression's width)"
+        for problem in ("mis", "vc"):  # their guard stays at width 12
+            code, out, _ = run(capsys, "solve", "--problem", problem, graph, "--expr", expr, "--json")
+            assert code == 0 and json.loads(out)["value"] == {"mis": 8, "vc": 1}[problem]
+
+    def test_ds_accepted_at_width_8(self, capsys, tmp_path):
+        graph, expr = self.labels_apart(tmp_path, 8)
+        code, out, _ = run(capsys, "solve", "--problem", "ds", graph, "--expr", expr, "--json")
+        data = json.loads(out)
+        assert code == 0 and data["value"] == 7 and len(data["witness"]) == 7
+
 
 class TestGen:
     def test_deterministic(self, capsys):

@@ -96,11 +96,20 @@ class TestRepresentation:
             assert g.m == len(g.edges)
             assert all(u < v and g.has_edge(v, u) for u, v in g.edges)
 
-    def test_edges_are_built_once_on_demand(self):
+    def test_edges_are_built_on_demand_and_never_stored(self, monkeypatch):
         g = complement(C5)
-        assert g._edges is None  # comparing and counting need only adjacency
-        assert g.m == 5 and is_isomorphic(g, C5) and g._edges is None
-        assert g.edges is g.edges
+        reads = []
+        build = Graph.edges
+
+        def counted(h):
+            reads.append(h.n)
+            return build.fget(h)
+
+        monkeypatch.setattr(Graph, "edges", property(counted))
+        # comparing and counting need only adjacency
+        assert g.m == 5 and is_isomorphic(g, C5) and reads == []
+        assert g.edges == g.edges and len(reads) == 2
+        assert g.edges is not g.edges  # no edge set is stored
 
 
 class TestComplement:

@@ -4,14 +4,17 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from helpers import (
     G,
     all_graphs_upto_iso,
     complete_graph,
     cycle_graph,
+    exprs_st,
     matching_graph,
     path_graph,
+    random_expr,
     random_graph,
     star_graph,
 )
@@ -19,6 +22,7 @@ from unicwd import (
     Graph,
     Intro,
     Join,
+    Relabel,
     SizeGuardError,
     SplittedGraph,
     U3Spec,
@@ -31,6 +35,7 @@ from unicwd import (
     decompositions_equivalent,
     degree_sequence,
     enumerate_decompositions,
+    evaluate,
     find_induced_p4,
     is_independent,
     oracle_cwd_leq,
@@ -41,7 +46,9 @@ from unicwd import (
     solve_mis,
     solve_vc,
     synthesize,
+    width,
 )
+from unicwd.kexpr import fold_expr
 
 C5 = cycle_graph("a", "b", "c", "d", "e")
 
@@ -58,6 +65,30 @@ def enum_mis(g: Graph) -> int:
                 best = max(best, r)
                 break
     return best
+
+
+def is_dominating(g: Graph, w) -> bool:
+    return all(v in w or g.neighbors(v) & w for v in g.vertices)
+
+
+def path_expr(n: int, labels=(1, 2, 3)):
+    """The path p0 - p1 - ... on three labels: ``b`` marks the last vertex,
+    ``c`` the new one and ``a`` every earlier vertex."""
+    a, b, c = labels
+    e = Intro("p0", b)
+    for i in range(1, n):
+        e = Relabel(c, b, Relabel(b, a, Join(b, c, Union(e, Intro(f"p{i}", c)))))
+    return e
+
+
+def map_labels(e, f: dict):
+    return fold_expr(
+        e,
+        lambda x: Intro(x.name, f[x.label]),
+        lambda _, kids: Union(tuple(kids)),
+        lambda x, kid: Join(f[x.i], f[x.j], kid),
+        lambda x, kid: Relabel(f[x.old], f[x.new], kid),
+    )
 
 
 class TestSolvers:
@@ -112,6 +143,37 @@ class TestSolvers:
             for v in mds_wit:
                 covered |= g.neighbors(v)
             assert covered == set(g.vertices)
+
+    def test_deep_path_expression(self):
+        # 40,000 nodes deep: the solvers neither recurse nor copy witnesses
+        n = 8000
+        e = path_expr(n)
+        g = evaluate(e).graph
+        assert width(e) == 3 and g.m == n - 1
+        mis, mis_wit = solve_mis(e)
+        assert mis == len(mis_wit) == (n + 1) // 2 and is_independent(g, mis_wit)
+        mds, mds_wit = solve_mds(e)
+        assert mds == len(mds_wit) == (n + 2) // 3 and is_dominating(g, mds_wit)
+
+    def test_labels_are_compacted(self):
+        # a .kx file may use any positive labels; only their number matters
+        f = {1: 7, 2: 10**9, 3: 42}
+        rng = random.Random(11)
+        samples = [path_expr(40)] + [random_expr(rng, 30, max_label=3) for _ in range(30)]
+        for e in samples:
+            big = map_labels(e, f)
+            assert width(big) == width(e)
+            for solve in (solve_mis, solve_mds):
+                assert solve(big)[0] == solve(e)[0]
+
+    @given(exprs_st.filter(lambda e: width(e) >= 2))
+    @settings(max_examples=200)
+    def test_random_expressions_match_brute_force(self, e):
+        g = evaluate(e).graph
+        mis, mis_wit = solve_mis(e)
+        assert mis == brute_mis(g) == len(mis_wit) and is_independent(g, mis_wit)
+        mds, mds_wit = solve_mds(e)
+        assert mds == brute_mds(g) == len(mds_wit) and is_dominating(g, mds_wit)
 
 
 class TestBruteForce:
