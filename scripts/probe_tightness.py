@@ -23,12 +23,12 @@ from unicwd import (
     U2Spec,
     U3Spec,
     VARIANTS,
-    apply_variant,
     build_template,
     complement,
     oracle_cwd_leq,
     synthesize,
 )
+from unicwd.catalog import _split_piece
 
 
 def exact_cwd(g, max_n: int, budget: int):
@@ -55,10 +55,10 @@ def rows(max_n: int):
     yield "compl U3(1)", complement(build_template(U3Spec(1)))
     for spec in (S2Spec(((1, 2),)), S2Spec(((2, 1), (1, 1))), S3Spec(1, 2, 1)):
         for variant in VARIANTS:
-            comp = apply_variant(build_template(spec), variant)
+            comp, _ = _split_piece(spec, variant, "")
             if comp.n <= max_n:
                 yield f"{spec.family}{spec.params()} {variant}", comp.graph
-    comp = apply_variant(build_template(S4Spec(1, 1)), "complement")
+    comp, _ = _split_piece(S4Spec(1, 1), "complement", "")
     if comp.n <= max_n:
         yield "S4(1,1) complement", comp.graph
 

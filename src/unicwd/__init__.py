@@ -15,8 +15,6 @@ from .graph import (
     SplittedGraph,
     complement,
     degree_sequence,
-    disjoint_union,
-    find_induced_p4,
     find_isomorphism,
     induced,
     is_clique,
@@ -24,11 +22,7 @@ from .graph import (
     is_isomorphic,
     is_split_partition,
     read_edge_list,
-    rename,
-    rename_splitted,
     split_bipartition,
-    splitted_complement,
-    splitted_inverse,
     splitted_isomorphic,
     to_edge_list,
 )
@@ -54,7 +48,6 @@ from .decomp import (
     CanonicalDecomposition,
     TopSplit,
     compose,
-    compose_splitted,
     decompose,
     find_top_split,
     recompose,
@@ -73,7 +66,6 @@ from .catalog import (
     U2Spec,
     U3Spec,
     VARIANTS,
-    apply_variant,
     build_template,
     havel_hakimi,
     is_unigraph,

@@ -16,6 +16,11 @@ edges between the parts complement for complement and inverse of the
 complement). The complement variant of a nonsplit core is inferred on the
 complemented core. Every inference is confirmed by comparing the renamed
 template's edges with the piece's, without building the template graph.
+
+Generation reads the same description: ``random_unigraph`` builds each
+piece's adjacency straight from the template's parts (or edges) and the
+variant tables ``_SWAPS_PARTS`` / ``_FLIPS_CROSS``, and ``recompose``
+composes the pieces in one pass.
 """
 
 from __future__ import annotations
@@ -26,16 +31,7 @@ from itertools import combinations
 from typing import Mapping, Union as TUnion
 
 from .decomp import CanonicalDecomposition, decompose, recompose
-from .graph import (
-    Graph,
-    SplittedGraph,
-    _edge,
-    complement,
-    rename,
-    rename_splitted,
-    splitted_complement,
-    splitted_inverse,
-)
+from .graph import Graph, SplittedGraph, _edge, complement
 
 __all__ = [
     "C5Spec",
@@ -51,7 +47,6 @@ __all__ = [
     "U2Spec",
     "U3Spec",
     "VARIANTS",
-    "apply_variant",
     "build_template",
     "havel_hakimi",
     "is_unigraph",
@@ -208,6 +203,7 @@ class U3Spec:
 
 
 FamilySpec = TUnion[K1Spec, S2Spec, S3Spec, S4Spec, C5Spec, MK2Spec, U2Spec, U3Spec]
+_SPLIT_SPECS = (K1Spec, S2Spec, S3Spec, S4Spec)
 
 
 @dataclass(frozen=True)
@@ -215,8 +211,8 @@ class ComponentMatch:
     """A catalog identification of one component.
 
     ``correspondence`` maps template vertex names to input vertex names;
-    applying the variant to the built template and renaming through it
-    reproduces the component exactly.
+    the template's parts (split families) or edges (nonsplit families)
+    under the variant, renamed through it, reproduce the component exactly.
     """
 
     spec: FamilySpec
@@ -310,30 +306,49 @@ def build_template(spec: FamilySpec) -> TUnion[Graph, SplittedGraph]:
     Split families return a SplittedGraph (centers / clique side in the
     clique part); nonsplit families return a plain Graph.
     """
-    if isinstance(spec, (K1Spec, S2Spec, S3Spec, S4Spec)):
+    if isinstance(spec, _SPLIT_SPECS):
         clique, indep, cross = _split_template(spec)
         g = Graph(clique + indep, cross + list(combinations(clique, 2)))
         return SplittedGraph(g, frozenset(clique), frozenset(indep))
     return Graph(*_nonsplit_template(spec))
 
 
-def apply_variant(t: TUnion[Graph, SplittedGraph], variant: str):
-    """Apply a catalog variant; inverse variants require a splitted graph."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if isinstance(t, SplittedGraph):
-        if variant == "identity":
-            return t
-        if variant == "complement":
-            return splitted_complement(t)
-        if variant == "inverse":
-            return splitted_inverse(t)
-        return splitted_complement(splitted_inverse(t))
-    if variant == "identity":
-        return t
-    if variant == "complement":
-        return complement(t)
-    raise ValueError(f"variant {variant!r} applies only to splitted graphs")
+def _split_piece(spec: FamilySpec, variant: str, prefix: str) -> tuple[SplittedGraph, dict[str, str]]:
+    """The split family ``spec`` under ``variant`` with each template vertex
+    ``t`` named ``prefix + t``, and that correspondence.
+
+    Built from the template's parts: a variant in ``_SWAPS_PARTS`` swaps the
+    clique and independent parts, one in ``_FLIPS_CROSS`` keeps exactly the
+    edges between them that the template lacks, and the clique part is
+    complete.
+    """
+    clique, indep, cross = _split_template(spec)
+    corr = {t: prefix + t for t in sorted(clique + indep)}
+    a = frozenset(corr[t] for t in clique)
+    b = frozenset(corr[t] for t in indep)
+    if variant in _SWAPS_PARTS:
+        a, b = b, a
+    nb: dict[str, set[str]] = {v: set() for v in corr.values()}
+    for x, y in cross:
+        nb[corr[x]].add(corr[y])
+        nb[corr[y]].add(corr[x])
+    if variant in _FLIPS_CROSS:
+        adj = {v: (a - {v}) | (b - nb[v]) for v in a}
+        adj.update((v, a - nb[v]) for v in b)
+    else:
+        adj = {v: (a - {v}) | nb[v] for v in a}
+        adj.update((v, frozenset(nb[v])) for v in b)
+    return SplittedGraph(Graph._from_adjacency(adj), a, b), corr
+
+
+def _nonsplit_piece(spec: FamilySpec, variant: str, prefix: str) -> tuple[Graph, dict[str, str]]:
+    """The nonsplit family ``spec`` under ``variant`` (identity or complement)
+    with each template vertex ``t`` named ``prefix + t``, and that
+    correspondence."""
+    names, edges = _nonsplit_template(spec)
+    corr = {t: prefix + t for t in sorted(names)}
+    g = Graph(corr.values(), [(corr[x], corr[y]) for x, y in edges])
+    return (complement(g) if variant == "complement" else g), corr
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +489,16 @@ def _infer_s4(w: _SplitView) -> tuple[S4Spec, dict[str, str]] | None:
 
 
 def _confirms_split(s: SplittedGraph, spec: FamilySpec, variant: str, corr: Mapping[str, str]) -> bool:
-    """``rename_splitted(apply_variant(build_template(spec), variant), corr) == s``,
-    decided on the edges between the parts.
+    """Whether ``s`` is the template's parts under ``variant``, renamed
+    through ``corr``: the variant's clique part (the template's independent
+    part when ``variant`` is in ``_SWAPS_PARTS``) complete, its independent
+    part edgeless, and between them the template's cross edges, or exactly
+    the pairs they miss when ``variant`` is in ``_FLIPS_CROSS``.
 
-    Both sides are certified splitted graphs, so once ``corr`` maps the
-    variant's clique part onto ``s.clique_part`` and its independent part
-    onto ``s.independent_part`` (a bijection onto V(s)), they are equal
-    exactly when their cross edges are.
+    ``s`` is a certified splitted graph, so once ``corr`` maps the variant's
+    clique part onto ``s.clique_part`` and its independent part onto
+    ``s.independent_part`` (a bijection onto V(s)), this is decided on the
+    edges between the parts.
     """
     clique, indep, cross = _split_template(spec)
     if variant in _SWAPS_PARTS:
@@ -622,10 +640,11 @@ def _infer_u3(g: Graph) -> tuple[U3Spec, dict[str, str]] | None:
 
 
 def _confirms_nonsplit(g: Graph, spec: FamilySpec, variant: str, corr: Mapping[str, str]) -> bool:
-    """``rename(apply_variant(build_template(spec), variant), corr) == g``,
-    decided on the template's edges: all of them in ``g`` with ``g.m`` of
-    them for identity, and none of them in ``g`` with the complementary
-    count for complement."""
+    """Whether ``g`` is the template under ``variant``, renamed through
+    ``corr``: on the renamed template vertices, exactly the renamed template
+    edges for identity and exactly the pairs they miss for complement.
+    Decided as all of the renamed edges in ``g`` with ``g.m`` of them, or
+    none of them in ``g`` with the complementary count."""
     names, edges = _nonsplit_template(spec)
     image = {corr.get(t) for t in names}
     if len(image) != len(names) or image != g.vertex_set:
@@ -757,8 +776,10 @@ def _sample_split_spec(rng: random.Random, budget: int) -> FamilySpec:
 
 
 def _spec_size(spec: FamilySpec) -> int:
-    t = build_template(spec)
-    return t.n if isinstance(t, Graph) else t.graph.n
+    if isinstance(spec, _SPLIT_SPECS):
+        clique, indep, _ = _split_template(spec)
+        return len(clique) + len(indep)
+    return len(_nonsplit_template(spec)[0])
 
 
 def _sample_tail_spec(rng: random.Random, budget: int) -> FamilySpec | None:
@@ -814,17 +835,13 @@ def random_unigraph(seed: int, size_budget: int) -> tuple[Graph, RecognizedDecom
         tail_graph = Graph(["t_a"])
         tail_match = ComponentMatch(K1Spec("clique"), "identity", {"a": "t_a"})
     elif tail_spec is not None:
-        template = build_template(tail_spec)
-        corr = {t: f"t_{t}" for t in template.vertices}
-        tail_graph = rename(apply_variant(template, tail_variant), corr)
+        tail_graph, corr = _nonsplit_piece(tail_spec, tail_variant, "t_")
         tail_match = ComponentMatch(tail_spec, tail_variant, corr)
 
     components: list[SplittedGraph] = []
     matches: list[ComponentMatch] = []
     for idx, (spec, variant) in enumerate(comp_specs):
-        template = build_template(spec)
-        corr = {t: f"g{idx}_{t}" for t in template.graph.vertices}
-        comp = rename_splitted(apply_variant(template, variant), corr)
+        comp, corr = _split_piece(spec, variant, f"g{idx}_")
         components.append(comp)
         matches.append(ComponentMatch(spec, variant, corr))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "SplittedGraph",
     "complement",
     "degree_sequence",
-    "disjoint_union",
-    "find_induced_p4",
     "find_isomorphism",
     "induced",
     "is_clique",
@@ -33,11 +30,7 @@ __all__ = [
     "is_isomorphic",
     "is_split_partition",
     "read_edge_list",
-    "rename",
-    "rename_splitted",
     "split_bipartition",
-    "splitted_complement",
-    "splitted_inverse",
     "splitted_isomorphic",
     "to_edge_list",
 ]
@@ -89,8 +82,8 @@ class Graph:
         """A graph from a symmetric, loop-free neighbour map over its own keys.
 
         Unchecked: the callers derive the map from other graphs'
-        adjacency (``induced``, ``complement``, ``rename``,
-        ``decomp.compose``) or from an expression (``kexpr.evaluate``).
+        adjacency (``induced``, ``complement``, ``decomp.compose``,
+        ``decomp.recompose``) or from an expression (``kexpr.evaluate``).
         """
         g = cls.__new__(cls)
         g._vertices = tuple(sorted(adj))
@@ -154,14 +147,6 @@ def complement(g: Graph) -> Graph:
     return Graph._from_adjacency({u: vset - adj[u] - {u} for u in vset})
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Union of vertex and edge sets; vertex name sets must be disjoint."""
-    clash = g1.vertex_set & g2.vertex_set
-    if clash:
-        raise ValueError(f"vertex name collision: {sorted(clash)[0]!r}")
-    return Graph(g1.vertices + g2.vertices, list(g1.edges) + list(g2.edges))
-
-
 def induced(g: Graph, vs: Iterable[str]) -> Graph:
     """Subgraph induced by ``vs`` (must all be vertices of ``g``)."""
     keep = set(vs)
@@ -204,16 +189,6 @@ def is_split_partition(g: Graph, a: Iterable[str], b: Iterable[str]) -> bool:
     return is_clique(g, aset) and is_independent(g, bset)
 
 
-def rename(g: Graph, mapping: Mapping[str, str]) -> Graph:
-    """Relabel vertices through ``mapping`` (must be injective on V(g))."""
-    new_names = {v: mapping[v] for v in g.vertices}
-    if len(set(new_names.values())) != len(new_names):
-        raise ValueError("rename mapping is not injective")
-    return Graph._from_adjacency(
-        {new_names[u]: frozenset(new_names[v] for v in ns) for u, ns in g._adj.items()}
-    )
-
-
 @dataclass(frozen=True)
 class SplittedGraph:
     """A split graph together with a certified (clique, independent) bipartition.
@@ -246,31 +221,6 @@ class SplittedGraph:
             f"SplittedGraph(n={self.n}, |A|={len(self.clique_part)}, "
             f"|B|={len(self.independent_part)})"
         )
-
-
-def splitted_complement(s: SplittedGraph) -> SplittedGraph:
-    """Complement the graph and swap the two parts."""
-    return SplittedGraph(complement(s.graph), s.independent_part, s.clique_part)
-
-
-def splitted_inverse(s: SplittedGraph) -> SplittedGraph:
-    """Empty the clique side, fill the independent side, swap the parts.
-
-    Edges between the two parts are unchanged; the old independent part
-    becomes the new clique part. This is an involution.
-    """
-    a, b = s.clique_part, s.independent_part
-    edges = [e for e in s.graph.edges if not (e[0] in a and e[1] in a)]
-    edges.extend(combinations(sorted(b), 2))
-    return SplittedGraph(Graph(s.graph.vertices, edges), b, a)
-
-
-def rename_splitted(s: SplittedGraph, mapping: Mapping[str, str]) -> SplittedGraph:
-    return SplittedGraph(
-        rename(s.graph, mapping),
-        frozenset(mapping[v] for v in s.clique_part),
-        frozenset(mapping[v] for v in s.independent_part),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +323,7 @@ def splitted_isomorphic(s1: SplittedGraph, s2: SplittedGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# split bipartitions and induced-P4 search
+# split bipartitions
 
 
 def split_bipartition(g: Graph) -> tuple[frozenset[str], frozenset[str]] | None:
@@ -392,18 +342,6 @@ def split_bipartition(g: Graph) -> tuple[frozenset[str], frozenset[str]] | None:
     bset = frozenset(g.vertex_set - aset)
     if is_independent(g, bset):
         return aset, bset
-    return None
-
-
-def find_induced_p4(g: Graph) -> tuple[str, str, str, str] | None:
-    """Some induced path a-b-c-d on four vertices, or None if P4-free."""
-    for e in sorted(g.edges):
-        for b, c in (e, (e[1], e[0])):
-            nb, nc = g.neighbors(b), g.neighbors(c)
-            for a in sorted(nb - nc - {c}):
-                for d in sorted(nc - nb - {b}):
-                    if a != d and not g.has_edge(a, d):
-                        return (a, b, c, d)
     return None
 
 

@@ -1,4 +1,4 @@
-"""Shared builders and strategies for the test suite."""
+"""Shared builders, reference graph transforms and strategies for the test suite."""
 
 from __future__ import annotations
 
@@ -8,11 +8,15 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from unicwd import (
+    VARIANTS,
     Graph,
     Intro,
     Join,
     Relabel,
+    SplittedGraph,
     Union,
+    complement,
+    compose,
     degree_sequence,
     find_isomorphism,
 )
@@ -48,6 +52,101 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     names = [f"v{i}" for i in range(1, n + 1)]
     edges = [(a, b) for a, b in combinations(names, 2) if rng.random() < p]
     return Graph(names, edges)
+
+
+# ---------------------------------------------------------------------------
+# graph transforms: the reference that the package's one-pass builders
+# (catalog._split_piece, catalog._nonsplit_piece, decomp.recompose) are
+# checked against
+
+
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """Union of vertex and edge sets; vertex name sets must be disjoint."""
+    clash = g1.vertex_set & g2.vertex_set
+    if clash:
+        raise ValueError(f"vertex name collision: {sorted(clash)[0]!r}")
+    return Graph(g1.vertices + g2.vertices, list(g1.edges) + list(g2.edges))
+
+
+def rename(g: Graph, mapping) -> Graph:
+    """Relabel vertices through ``mapping`` (must be injective on V(g))."""
+    new_names = {v: mapping[v] for v in g.vertices}
+    if len(set(new_names.values())) != len(new_names):
+        raise ValueError("rename mapping is not injective")
+    return Graph(new_names.values(), [(new_names[u], new_names[v]) for u, v in g.edges])
+
+
+def rename_splitted(s: SplittedGraph, mapping) -> SplittedGraph:
+    return SplittedGraph(
+        rename(s.graph, mapping),
+        frozenset(mapping[v] for v in s.clique_part),
+        frozenset(mapping[v] for v in s.independent_part),
+    )
+
+
+def splitted_complement(s: SplittedGraph) -> SplittedGraph:
+    """Complement the graph and swap the two parts."""
+    return SplittedGraph(complement(s.graph), s.independent_part, s.clique_part)
+
+
+def splitted_inverse(s: SplittedGraph) -> SplittedGraph:
+    """Empty the clique side, fill the independent side, swap the parts.
+
+    Edges between the two parts are unchanged; the old independent part
+    becomes the new clique part. This is an involution.
+    """
+    a, b = s.clique_part, s.independent_part
+    edges = [e for e in s.graph.edges if not (e[0] in a and e[1] in a)]
+    edges.extend(combinations(sorted(b), 2))
+    return SplittedGraph(Graph(s.graph.vertices, edges), b, a)
+
+
+def apply_variant(t, variant: str):
+    """Apply a catalog variant; inverse variants require a splitted graph."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if isinstance(t, SplittedGraph):
+        if variant == "identity":
+            return t
+        if variant == "complement":
+            return splitted_complement(t)
+        if variant == "inverse":
+            return splitted_inverse(t)
+        return splitted_complement(splitted_inverse(t))
+    if variant == "identity":
+        return t
+    if variant == "complement":
+        return complement(t)
+    raise ValueError(f"variant {variant!r} applies only to splitted graphs")
+
+
+def compose_splitted(s1: SplittedGraph, s2: SplittedGraph) -> SplittedGraph:
+    """Composition of two splitted graphs, again a splitted graph."""
+    return SplittedGraph(
+        compose(s1, s2.graph),
+        s1.clique_part | s2.clique_part,
+        s1.independent_part | s2.independent_part,
+    )
+
+
+def compose_fold(d) -> Graph:
+    """The graph of a decomposition as the fold of ``compose`` from the tail outwards."""
+    acc = d.tail if d.tail is not None else Graph([])
+    for comp in reversed(d.components):
+        acc = compose(comp, acc)
+    return acc
+
+
+def find_induced_p4(g: Graph):
+    """Some induced path a-b-c-d on four vertices, or None if P4-free."""
+    for e in sorted(g.edges):
+        for b, c in (e, (e[1], e[0])):
+            nb, nc = g.neighbors(b), g.neighbors(c)
+            for a in sorted(nb - nc - {c}):
+                for d in sorted(nc - nb - {b}):
+                    if a != d and not g.has_edge(a, d):
+                        return (a, b, c, d)
+    return None
 
 
 # ---------------------------------------------------------------------------

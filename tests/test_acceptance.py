@@ -6,7 +6,13 @@ Every tolerance is exact (zero); the random corpora are fully seeded.
 import random
 import time
 
-from helpers import all_graphs_upto_iso, random_expr, random_graph
+from helpers import (
+    all_graphs_upto_iso,
+    apply_variant,
+    random_expr,
+    random_graph,
+    rename_splitted,
+)
 from unicwd import (
     C5Spec,
     Graph,
@@ -17,7 +23,6 @@ from unicwd import (
     U2Spec,
     U3Spec,
     VARIANTS,
-    apply_variant,
     brute_mds,
     brute_mis,
     build_template,
@@ -38,7 +43,6 @@ from unicwd import (
     parse,
     random_unigraph,
     recompose,
-    rename_splitted,
     solve_mds,
     solve_mis,
     solve_vc,

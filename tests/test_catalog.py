@@ -1,5 +1,6 @@
 """Catalog templates, variants, matching, recognition, generation."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 from helpers import (
     G,
     all_graphs_upto_iso,
+    apply_variant,
     complete_graph,
     cycle_graph,
     matching_graph,
     path_graph,
+    rename,
+    rename_splitted,
 )
 from unicwd import (
     C5Spec,
@@ -25,7 +29,6 @@ from unicwd import (
     U2Spec,
     U3Spec,
     VARIANTS,
-    apply_variant,
     build_template,
     complement,
     degree_sequence,
@@ -37,8 +40,6 @@ from unicwd import (
     match_split_component,
     oracle_unigraph,
     random_unigraph,
-    rename_splitted,
-    rename,
 )
 
 
@@ -190,6 +191,37 @@ NONSPLIT_SPECS = [
 ]
 
 
+class TestPieceBuilders:
+    """The one-pass piece builders equal the template put through the
+    reference transforms of the test helpers."""
+
+    @pytest.mark.parametrize("spec", [K1Spec("clique"), K1Spec("independent"), *SPLIT_SPECS], ids=str)
+    def test_split_piece(self, spec):
+        from unicwd.catalog import _split_piece
+
+        t = build_template(spec)
+        for variant in VARIANTS:
+            piece, corr = _split_piece(spec, variant, "g7_")
+            assert list(corr.items()) == [(v, f"g7_{v}") for v in t.graph.vertices]
+            assert piece == rename_splitted(apply_variant(t, variant), corr)
+
+    @pytest.mark.parametrize("spec", NONSPLIT_SPECS, ids=str)
+    def test_nonsplit_piece(self, spec):
+        from unicwd.catalog import _nonsplit_piece
+
+        t = build_template(spec)
+        for variant in ("identity", "complement"):
+            g, corr = _nonsplit_piece(spec, variant, "t_")
+            assert list(corr.items()) == [(v, f"t_{v}") for v in t.vertices]
+            assert g == rename(apply_variant(t, variant), corr)
+
+    def test_spec_size_counts_the_template(self):
+        from unicwd.catalog import _spec_size
+
+        for spec in [K1Spec("clique"), K1Spec("independent"), *SPLIT_SPECS, *NONSPLIT_SPECS]:
+            assert _spec_size(spec) == build_template(spec).n
+
+
 def _one_edge_off(g, rng):
     """``g``, ``g`` less one edge and ``g`` plus one non-edge."""
     pairs = [(u, v) for i, u in enumerate(g.vertices) for v in g.vertices[i + 1 :]]
@@ -337,7 +369,61 @@ class TestHavelHakimi:
             assert degree_sequence(g) == tuple(sorted(degs, reverse=True))
 
 
+def _generator_record(g, rec) -> str:
+    """Everything ``random_unigraph`` returns, as text: the graph's sorted
+    adjacency, each component's parts, the tail's vertices and each match.
+
+    A vertex's line lists its neighbours or, marked '-', its non-neighbours,
+    whichever are fewer: the same graph, at a fraction of the sorting on the
+    dense outputs."""
+    lines = []
+    for v in g.vertices:
+        nb = g.neighbors(v)
+        if 2 * len(nb) > g.n:
+            lines.append(f"{v} - {' '.join(sorted(g.vertex_set - nb - {v}))}")
+        else:
+            lines.append(f"{v} {' '.join(sorted(nb))}")
+    for comp in rec.decomposition.components:
+        lines.append(repr((sorted(comp.clique_part), sorted(comp.independent_part))))
+    tail = rec.decomposition.tail
+    lines.append(repr(None if tail is None else tail.vertices))
+    for m in (*rec.component_matches, rec.tail_match):
+        if m is None:
+            lines.append("None")
+        else:
+            corr = sorted(m.correspondence.items())
+            lines.append(repr((m.spec.family, m.variant, m.spec.params(), corr)))
+    return "\n".join(lines)
+
+
+def _generator_digest() -> str:
+    h = hashlib.sha256()
+    for seed in range(300):
+        for budget in (1, 3, 12, 40, 120, 280):
+            h.update(_generator_record(*random_unigraph(seed, budget)).encode())
+    return h.hexdigest()
+
+
+# _generator_digest() of the generator that built each piece as a template
+# graph, transformed it per variant, renamed it and folded compose level by
+# level; the one-pass builders must reproduce it exactly
+GENERATOR_DIGEST = "2fcce1a0cc1a2fba44f7ba735da347bb98a392fc3adf31536740fc4d293cf05e"
+
+
 class TestRandomUnigraph:
+    def test_outputs_are_pinned(self):
+        assert _generator_digest() == GENERATOR_DIGEST
+
+    def test_builds_no_template(self, monkeypatch):
+        import unicwd.catalog as catalog
+
+        def refuse(spec):
+            raise AssertionError("random_unigraph built a template graph")
+
+        monkeypatch.setattr(catalog, "build_template", refuse)
+        for seed in range(20):
+            random_unigraph(seed, 60)
+
     def test_seed_determinism(self):
         g1, _ = random_unigraph(42, 30)
         g2, _ = random_unigraph(42, 30)

@@ -1,6 +1,8 @@
 """Composition, top-split search, decomposition and its round-trip."""
 
 import random
+import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,10 @@ from helpers import (
     G,
     all_graphs_upto_iso,
     complete_graph,
+    compose_fold,
+    compose_splitted,
     cycle_graph,
+    disjoint_union,
     graphs_st,
     path_graph,
     random_graph,
@@ -18,9 +23,7 @@ from unicwd import (
     CanonicalDecomposition,
     SplittedGraph,
     compose,
-    compose_splitted,
     decompose,
-    disjoint_union,
     find_top_split,
     induced,
     is_split_partition,
@@ -198,6 +201,49 @@ class TestRecompose:
         for seed in range(30):
             g, _ = random_unigraph(seed, 25)
             assert recompose(decompose(g)) == g
+
+    def test_equals_the_compose_fold(self):
+        rng = random.Random(3)
+        ds = [random_unigraph(seed, 4 + seed % 60)[1].decomposition for seed in range(40)]
+        ds += [decompose(random_graph(rng, rng.randint(1, 12), rng.random())) for _ in range(60)]
+        for _ in range(60):  # arbitrary chains of split pieces, not canonical ones
+            comps = []
+            for lvl in range(rng.randint(0, 5)):
+                a = [f"L{lvl}a{i}" for i in range(rng.randint(0, 3))]
+                b = [f"L{lvl}b{i}" for i in range(rng.randint(0 if a else 1, 3))]
+                cross = [(x, y) for x in a for y in b if rng.random() < 0.5]
+                comps.append(SplittedGraph(G(a + b, cross + list(combinations(a, 2))), a, b))
+            tail = random_graph(rng, rng.randint(1, 5), 0.5) if rng.random() < 0.7 else None
+            ds.append(CanonicalDecomposition(tuple(comps), tail))
+        ds.append(CanonicalDecomposition((), None))
+        for d in ds:
+            assert recompose(d) == compose_fold(d)
+
+    @pytest.mark.parametrize(
+        "d, name",
+        [
+            (CanonicalDecomposition((k1_clique("p"), k1_indep("x")), C5), "p"),
+            (CanonicalDecomposition((k1_clique("b"), k1_clique("a"), k1_indep("a")), None), "a"),
+        ],
+    )
+    def test_collision(self, d, name):
+        for build in (recompose, compose_fold):
+            with pytest.raises(ValueError, match=f"vertex name collision: '{name}'"):
+                build(d)
+
+    def test_deep_threshold_chain(self):
+        n = 1000
+        names = [f"v{i:04d}" for i in range(n)]
+        comps = tuple(k1_clique(v) if i % 2 == 0 else k1_indep(v) for i, v in enumerate(names))
+        start = time.perf_counter()
+        g = recompose(CanonicalDecomposition(comps, None))
+        elapsed = time.perf_counter() - start
+        # the (i + 1) // 2 clique vertices outside level i reach it, and a
+        # clique vertex reaches the n - 1 - i vertices inside it
+        assert [g.degree(v) for v in names] == [
+            (i + 1) // 2 + (n - 1 - i if i % 2 == 0 else 0) for i in range(n)
+        ]
+        assert elapsed < 1.0  # the level-by-level fold took several seconds
 
 
 class TestSplittedDecomposable:

@@ -8,10 +8,14 @@ from helpers import (
     G,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     exprs_st,
+    find_induced_p4,
     graphs_st,
     matching_graph,
     path_graph,
+    splitted_complement,
+    splitted_inverse,
     star_graph,
 )
 from unicwd import (
@@ -22,9 +26,7 @@ from unicwd import (
     build_template,
     complement,
     degree_sequence,
-    disjoint_union,
     evaluate,
-    find_induced_p4,
     induced,
     is_clique,
     is_independent,
@@ -33,8 +35,6 @@ from unicwd import (
     parse,
     read_edge_list,
     split_bipartition,
-    splitted_complement,
-    splitted_inverse,
     splitted_isomorphic,
     to_edge_list,
     to_text,

@@ -12,6 +12,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     exprs_st,
+    find_induced_p4,
     matching_graph,
     path_graph,
     random_expr,
@@ -36,7 +37,6 @@ from unicwd import (
     degree_sequence,
     enumerate_decompositions,
     evaluate,
-    find_induced_p4,
     is_independent,
     oracle_cwd_leq,
     oracle_unigraph,

@@ -2,7 +2,17 @@
 
 import pytest
 
-from helpers import G, complete_graph, cycle_graph, path_graph
+from helpers import (
+    G,
+    apply_variant,
+    complete_graph,
+    compose_splitted,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+    rename,
+    rename_splitted,
+)
 from unicwd import (
     C5Spec,
     ComponentMatch,
@@ -23,12 +33,9 @@ from unicwd import (
     U3Spec,
     Union,
     VARIANTS,
-    apply_variant,
     build_template,
     complement,
     compose,
-    compose_splitted,
-    disjoint_union,
     evaluate,
     glue_split,
     glue_tail,
@@ -37,8 +44,6 @@ from unicwd import (
     match_nonsplit_component,
     match_split_component,
     random_unigraph,
-    rename,
-    rename_splitted,
     synth_nonsplit,
     synth_split,
     synthesize,
@@ -375,7 +380,7 @@ class TestTightnessProbes:
             assert oracle_cwd_leq(g, 3) is True
 
     def test_p4_lower_bound_witness_for_larger_members(self):
-        from unicwd import find_induced_p4
+        from helpers import find_induced_p4
 
         for m in range(1, 7):
             g = build_template(U3Spec(m))
