@@ -9,6 +9,7 @@ import time
 from helpers import (
     all_graphs_upto_iso,
     apply_variant,
+    criterion_8_corpus,
     random_expr,
     random_graph,
     rename_splitted,
@@ -252,13 +253,7 @@ def test_criterion_8_solver_correctness():
     subset brute force exactly."""
     t0 = time.time()
     done = 0
-    seed = 0
-    while done < 200:
-        seed += 1
-        g, _ = random_unigraph(seed + 40000, 4 + seed % 15)
-        if g.n > 18:
-            continue
-        expr, _ = synthesize(g)
+    for expr, g in criterion_8_corpus():
         mis, mis_wit = solve_mis(expr)
         assert mis == brute_mis(g)
         assert is_independent(g, mis_wit) and len(mis_wit) == mis

@@ -1,6 +1,7 @@
 """DP solvers and brute-force oracles."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -10,14 +11,20 @@ from helpers import (
     G,
     all_graphs_upto_iso,
     complete_graph,
+    criterion_8_corpus,
     cycle_graph,
     exprs_st,
     find_induced_p4,
+    map_labels,
     matching_graph,
     path_graph,
     random_expr,
     random_graph,
+    ref_solve_mds,
+    ref_solve_mis,
+    ref_solve_vc,
     star_graph,
+    wide_random_expr,
 )
 from unicwd import (
     Graph,
@@ -38,6 +45,7 @@ from unicwd import (
     enumerate_decompositions,
     evaluate,
     is_independent,
+    labels_of,
     oracle_cwd_leq,
     oracle_unigraph,
     parse,
@@ -48,7 +56,7 @@ from unicwd import (
     synthesize,
     width,
 )
-from unicwd.kexpr import fold_expr
+from unicwd.kexpr import iter_nodes, vertex_names
 
 C5 = cycle_graph("a", "b", "c", "d", "e")
 
@@ -79,16 +87,6 @@ def path_expr(n: int, labels=(1, 2, 3)):
     for i in range(1, n):
         e = Relabel(c, b, Relabel(b, a, Join(b, c, Union(e, Intro(f"p{i}", c)))))
     return e
-
-
-def map_labels(e, f: dict):
-    return fold_expr(
-        e,
-        lambda x: Intro(x.name, f[x.label]),
-        lambda _, kids: Union(tuple(kids)),
-        lambda x, kid: Join(f[x.i], f[x.j], kid),
-        lambda x, kid: Relabel(f[x.old], f[x.new], kid),
-    )
 
 
 class TestSolvers:
@@ -174,6 +172,93 @@ class TestSolvers:
         assert mis == brute_mis(g) == len(mis_wit) and is_independent(g, mis_wit)
         mds, mds_wit = solve_mds(e)
         assert mds == brute_mds(g) == len(mds_wit) and is_dominating(g, mds_wit)
+
+
+def assert_matches_reference(e, g=None):
+    """The dominating-set output equals the reference's, value and witness;
+    the independent-set and vertex-cover values equal the reference's, and
+    the independent-set witness is independent and of the right size."""
+    g = evaluate(e).graph if g is None else g
+    mds = solve_mds(e)
+    assert mds == ref_solve_mds(e)
+    mis, mis_wit = solve_mis(e)
+    assert mis == ref_solve_mis(e)[0] == len(mis_wit) and is_independent(g, mis_wit)
+    assert solve_vc(e)[0] == ref_solve_vc(e)[0]
+    return mis, mds[0]
+
+
+# labels a .kx file may use: every expression below is mapped onto a few of them
+LABEL_POOL = (1, 2, 3, 5, 7, 42, 99, 10**9)
+
+
+class TestLiveLabels:
+    """The live-label traversal against the reference solvers, which carry
+    every state to the root."""
+
+    def test_random_expressions_match_reference(self):
+        rng = random.Random(20261019)
+        widths, labels_used, arities, self_relabels = set(), set(), set(), 0
+        for t in range(3000):
+            if t % 3:
+                e = random_expr(rng, rng.randint(1, 40), max_label=rng.randint(1, 8))
+            else:
+                k = rng.randint(1, 8)
+                e = wide_random_expr(rng, k, rng.randint(max(2, k), 14 if k > 5 else 24))
+            labels = sorted(labels_of(e))
+            e = map_labels(e, dict(zip(labels, rng.sample(LABEL_POOL, len(labels)))))
+            widths.add(len(labels))
+            labels_used |= labels_of(e)
+            for node in iter_nodes(e):
+                if isinstance(node, Union):
+                    arities.add(len(node.children))
+                elif isinstance(node, Relabel) and node.old == node.new:
+                    self_relabels += 1
+            assert_matches_reference(e)
+        assert widths == set(range(1, 9))
+        assert {7, 42, 10**9} <= labels_used and {2, 3, 4} <= arities and self_relabels
+
+    def test_synthesized_corpus_matches_reference(self):
+        for e, g in criterion_8_corpus():
+            assert_matches_reference(e, g)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a relabel onto a label that no ancestor joins: a, b, c finish there
+            "(j 1 3 (u (v d 3) (r 1 2 (j 1 2 (u (v a 1) (v b 2) (v c 1))))))",
+            # a relabel whose target is joined later: label 1 is live below it
+            "(j 2 3 (u (v d 3) (r 1 2 (u (v a 1) (v b 2)))))",
+            # joins on labels absent from their subtrees
+            "(j 1 2 (j 3 4 (u (v a 1) (v b 2) (v c 1))))",
+            "(j 5 6 (j 1 2 (u (v a 1) (v b 2) (v c 3))))",
+            # label 2 finishes in the first union branch, live in the second
+            "(j 2 3 (u (r 2 4 (u (v p 2) (v q 1))) (j 1 2 (u (v r 1) (v s 2))) (v t 3)))",
+            "(j 1 3 (u (r 1 2 (u (v a 1) (v b 2))) (j 1 2 (u (v c 1) (v d 2))) (v e 3)))",
+        ],
+    )
+    def test_live_rule_edge_cases(self, text):
+        e = parse(text)
+        g = evaluate(e).graph
+        assert assert_matches_reference(e, g) == (brute_mis(g), brute_mds(g))
+
+    def test_no_join_takes_every_vertex(self):
+        e = parse("(u (r 1 2 (u (v a 1) (v b 2))) (v c 3) (r 2 2 (v d 2)) (r 3 1 (v e 3)))")
+        g = evaluate(e).graph
+        assert solve_mis(e) == solve_mds(e) == (5, frozenset("abcde"))
+        assert assert_matches_reference(e, g) == (brute_mis(g), brute_mds(g))
+
+    def test_width_8_dominating_set(self):
+        # the values are ref_solve_mds's, pinned: it takes about 7 s on these
+        # six expressions (a full product of up to 4^8 states per union),
+        # where the live-label traversal takes about 0.01 s
+        rng = random.Random(8)
+        exprs = [wide_random_expr(rng, 8, 60, f"w{c}_") for c in range(6)]
+        assert all(width(e) == 8 and len(vertex_names(e)) == 60 for e in exprs)
+        t0 = time.perf_counter()
+        values = [solve_mds(e)[0] for e in exprs]
+        elapsed = time.perf_counter() - t0
+        assert values == [51, 32, 40, 37, 34, 43]
+        assert elapsed < 1.0, f"solve_mds took {elapsed:.2f} s on six width-8 expressions"
 
 
 class TestBruteForce:
